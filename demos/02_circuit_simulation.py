@@ -1,6 +1,6 @@
-"""The classifier ansatz and the density-matrix simulator.
+"""The classifier ansatz and the reference density-matrix simulator.
 
-Shows what the circuit looks like as an instruction list, checks the
+Shows what the circuit looks like as a list of Kraus sets, checks the
 textbook single-qubit readout identity <Z> = cos(theta), and measures
 how strongly each noise channel damps the readout of the full
 five-layer circuit.
@@ -12,27 +12,30 @@ import math
 
 import numpy as np
 
-from noisyvqc import AnsatzConfig, ChannelKind, NOISY_KINDS, build_ansatz
-from noisyvqc.circuit import RX, Circuit, param_shape
-from noisyvqc.simulator import run
+from noisyvqc import AnsatzConfig, ChannelKind, NOISY_KINDS, ansatz_kraus_sets, run
+from noisyvqc.circuit import param_shape
+from noisyvqc.linalg import PAULI_X
+from noisyvqc.simulator import on_qubit, rotation
 
 # ---------------------------------------------------------------------------
 # Anatomy of the ansatz
 # ---------------------------------------------------------------------------
+# A unitary gate is a Kraus set of one operator; a single-qubit bit-flip
+# channel lifted to the register is a set of two.
 features = np.array([0.8, 2.4])  # two encoding angles in [0, pi]
 config = AnsatzConfig(channel=ChannelKind.BIT_FLIP, probability=0.2, n_layers=2)
 params = np.zeros(param_shape(config))
-circuit = build_ansatz(features, params, config)
-print(f"a {config.n_layers}-layer noisy circuit has {len(circuit.ops)} instructions:")
-for op in circuit.ops:
-    print(f"  {op}")
+sets = ansatz_kraus_sets(features, params, config)
+print(f"a {config.n_layers}-layer noisy circuit folds {len(sets)} Kraus sets of 4x4 operators;")
+print("operators per set:", " ".join(str(len(ops)) for ops in sets))
+print("(RX RX, then per layer: Rot Rot, noise noise, CNOT, noise noise)")
 
 # ---------------------------------------------------------------------------
 # Single-qubit readout identity
 # ---------------------------------------------------------------------------
 print("\n<Z> after RX(theta) on |0> equals cos(theta):")
 for theta in (0.0, math.pi / 3, math.pi / 2, math.pi):
-    z = run(Circuit(ops=(RX(theta, 0),)))
+    z = run([on_qubit([rotation(PAULI_X, theta)], 0)], check=True)
     print(f"  theta={theta:.4f}  <Z>={z:+.6f}  cos={math.cos(theta):+.6f}")
 
 # ---------------------------------------------------------------------------
@@ -47,7 +50,7 @@ for kind in NOISY_KINDS:
     row = []
     for p in (0.1, 0.5, 1.0):
         cfg = AnsatzConfig(channel=kind, probability=p, n_layers=5)
-        row.append(run(build_ansatz(features, np.zeros(param_shape(cfg)), cfg)))
+        row.append(run(ansatz_kraus_sets(features, np.zeros(param_shape(cfg)), cfg)))
     print(f"{kind.value:<20}" + "".join(f"{v:>+10.4f}" for v in row))
 print(
     "\nNote how the dephasing channels (phase flip / phase damping) leave this\n"

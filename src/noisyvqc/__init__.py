@@ -2,11 +2,11 @@
 
 The package is organized bottom-up:
 
-* :mod:`noisyvqc.linalg`    -- small dense complex matrix helpers
+* :mod:`noisyvqc.linalg`    -- Pauli matrices and dense matrix predicates
 * :mod:`noisyvqc.channels`  -- the five Kraus noise channels
-* :mod:`noisyvqc.circuit`   -- gate matrices and the classifier ansatz
-* :mod:`noisyvqc.simulator` -- instruction-by-instruction state evolution
-* :mod:`noisyvqc.evaluator` -- vectorized batch evaluation of the ansatz
+* :mod:`noisyvqc.circuit`   -- the ansatz configuration, parameter shape and CNOT
+* :mod:`noisyvqc.evaluator` -- the gate library: batched evaluation of the ansatz
+* :mod:`noisyvqc.simulator` -- the reference oracle: a fold over 4x4 Kraus sets
 * :mod:`noisyvqc.training`  -- parameter-shift gradients and the training loop
 * :mod:`noisyvqc.data`      -- Iris loading, scaling, and splitting
 * :mod:`noisyvqc.sweep`     -- multi-configuration sweeps, CSVs, summaries
@@ -15,10 +15,10 @@ The package is organized bottom-up:
 """
 
 from .channels import ChannelKind, KrausChannel, NOISY_KINDS, apply_channel, build_channel, verify_completeness
-from .circuit import AnsatzConfig, Circuit, build_ansatz, cnot_matrix, rot_matrix, rx_matrix, ry_matrix, rz_matrix
+from .circuit import AnsatzConfig, cnot_matrix
 from .data import Dataset, PreprocessStats, feature_stats, load_iris_binary, preprocess, split
 from .evaluator import ansatz_expectations
-from .simulator import expectation_z0, init_state, run
+from .simulator import ansatz_kraus_sets, run
 from .sweep import CellSummary, SweepConfig, execute_run, run_sweep, summarize
 from .training import (
     OptimizerState,
@@ -31,7 +31,6 @@ from .training import (
     nesterov_step,
     parameter_shift_grad,
     predict,
-    square_loss,
     train,
 )
 

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, kron, max_abs
+from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, max_abs
 
 
 class ChannelKind(Enum):
@@ -109,9 +109,9 @@ def embed_kraus(k: np.ndarray, target: int) -> np.ndarray:
     ``kron(k, I2)`` and target 1 as ``kron(I2, k)``.
     """
     if target == 0:
-        return kron(k, I2)
+        return np.kron(k, I2)
     if target == 1:
-        return kron(I2, k)
+        return np.kron(I2, k)
     raise ValueError(f"target must be 0 or 1, got {target}")
 
 

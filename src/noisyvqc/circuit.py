@@ -1,8 +1,4 @@
-"""Gate matrices and the noisy two-qubit classifier ansatz.
-
-A circuit is an ordered tuple of instructions on a fixed two-qubit
-register.  Instructions are either unitary gates (``RX``, ``RY``,
-``RZ``, ``Rot``, ``CNOT``) or noise insertions (``ChannelOp``).
+"""Shape, noise configuration and fixed gates of the classifier ansatz.
 
 All rotation gates use the half-angle convention (generator eigenvalues
 of +-1/2), which makes the parameter-shift rule exact with a shift of
@@ -16,14 +12,16 @@ layers.  Each layer applies a trainable ``Rot`` on every qubit,
 injects the configured noise channel on every qubit, entangles with a
 CNOT (qubit 0 controlling qubit 1), and injects the noise channel on
 every qubit again.  Noise-free configurations simply omit the channel
-instructions.
+insertions.
+
+The batched gate library lives in :mod:`noisyvqc.evaluator`; the
+reference oracle that folds the same ansatz gate by gate lives in
+:mod:`noisyvqc.simulator`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -32,37 +30,6 @@ from .channels import ChannelKind
 N_QUBITS = 2
 #: trainable angles per qubit per layer (the three Rot Euler angles)
 ANGLES_PER_ROT = 3
-
-
-def _require_finite(*angles: float) -> None:
-    for a in angles:
-        if not math.isfinite(a):
-            raise ValueError(f"angle must be finite, got {a!r}")
-
-
-def rx_matrix(theta: float) -> np.ndarray:
-    """Rotation about X: ``[[cos(t/2), -i sin(t/2)], [-i sin(t/2), cos(t/2)]]``."""
-    _require_finite(theta)
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    """Rotation about Y: ``[[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]``."""
-    _require_finite(theta)
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-def rz_matrix(theta: float) -> np.ndarray:
-    """Rotation about Z: ``diag(exp(-i t/2), exp(i t/2))``."""
-    _require_finite(theta)
-    return np.array([[np.exp(-0.5j * theta), 0], [0, np.exp(0.5j * theta)]])
-
-
-def rot_matrix(phi: float, theta: float, omega: float) -> np.ndarray:
-    """General single-qubit rotation ``RZ(omega) @ RY(theta) @ RZ(phi)``."""
-    return rz_matrix(omega) @ ry_matrix(theta) @ rz_matrix(phi)
 
 
 def cnot_matrix(control: int = 0, target: int = 1) -> np.ndarray:
@@ -76,75 +43,6 @@ def cnot_matrix(control: int = 0, target: int = 1) -> np.ndarray:
             bits[target] ^= 1
         m[bits[0] * 2 + bits[1], basis] = 1
     return m
-
-
-@dataclass(frozen=True)
-class RX:
-    angle: float
-    target: int
-
-
-@dataclass(frozen=True)
-class RY:
-    angle: float
-    target: int
-
-
-@dataclass(frozen=True)
-class RZ:
-    angle: float
-    target: int
-
-
-@dataclass(frozen=True)
-class Rot:
-    phi: float
-    theta: float
-    omega: float
-    target: int
-
-
-@dataclass(frozen=True)
-class CNOT:
-    control: int
-    target: int
-
-
-@dataclass(frozen=True)
-class ChannelOp:
-    kind: ChannelKind
-    probability: float
-    target: int
-
-
-GateOp = Union[RX, RY, RZ, Rot, CNOT, ChannelOp]
-
-UNITARY_OPS = (RX, RY, RZ, Rot, CNOT)
-
-
-def _check_qubit(index: int, name: str = "target") -> None:
-    if index not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {index}")
-
-
-@dataclass(frozen=True)
-class Circuit:
-    """An ordered instruction list on the two-qubit register."""
-
-    ops: tuple[GateOp, ...]
-    n_qubits: int = N_QUBITS
-
-    def __post_init__(self) -> None:
-        if self.n_qubits != N_QUBITS:
-            raise ValueError(f"register is fixed at {N_QUBITS} qubits")
-        for op in self.ops:
-            if isinstance(op, CNOT):
-                _check_qubit(op.control, "control")
-                _check_qubit(op.target)
-                if op.control == op.target:
-                    raise ValueError("CNOT control and target must differ")
-            else:
-                _check_qubit(op.target)
 
 
 @dataclass(frozen=True)
@@ -165,36 +63,3 @@ class AnsatzConfig:
 def param_shape(config: AnsatzConfig) -> tuple[int, int, int]:
     """Shape of the trainable parameter tensor: (layers, qubits, angles)."""
     return (config.n_layers, N_QUBITS, ANGLES_PER_ROT)
-
-
-def build_ansatz(features, params, config: AnsatzConfig) -> Circuit:
-    """Assemble the classifier circuit for one input sample.
-
-    ``features`` are the two encoding angles (radians) and ``params``
-    the trainable tensor of shape ``(n_layers, 2, 3)``.  The emitted
-    instruction order is: the two encoding RX gates, then per layer the
-    two Rot gates, a noise insertion on each qubit, the CNOT, and a
-    second noise insertion on each qubit.  Deterministic: identical
-    inputs produce identical instruction tuples.
-    """
-    features = np.asarray(features, dtype=float)
-    params = np.asarray(params, dtype=float)
-    if features.shape != (N_QUBITS,):
-        raise ValueError(f"expected {N_QUBITS} feature angles, got shape {features.shape}")
-    if params.shape != param_shape(config):
-        raise ValueError(
-            f"params shape {params.shape} does not match {param_shape(config)}"
-        )
-    noisy = config.channel is not ChannelKind.NONE
-
-    ops: list[GateOp] = [RX(float(features[q]), q) for q in range(N_QUBITS)]
-    for layer in range(config.n_layers):
-        for q in range(N_QUBITS):
-            phi, theta, omega = (float(a) for a in params[layer, q])
-            ops.append(Rot(phi, theta, omega, q))
-        if noisy:
-            ops.extend(ChannelOp(config.channel, config.probability, q) for q in range(N_QUBITS))
-        ops.append(CNOT(0, 1))
-        if noisy:
-            ops.extend(ChannelOp(config.channel, config.probability, q) for q in range(N_QUBITS))
-    return Circuit(ops=tuple(ops))

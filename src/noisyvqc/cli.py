@@ -28,8 +28,9 @@ from .sweep import (
     format_summary_table,
     read_results_csv,
     run_filename,
+    run_sweep,
     summarize,
-    write_run_csv,
+    write_results_csv,
     write_summary_csv,
     write_sweep_outputs,
 )
@@ -87,47 +88,46 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_probability(parser: argparse.ArgumentParser, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        parser.error(f"probability {value} outside [0, 1]")
+def _sweep_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, **grid
+) -> SweepConfig:
+    """The grid plus the training flags; an invalid value exits through ``parser.error``."""
+    try:
+        return SweepConfig(
+            **grid,
+            steps=args.steps,
+            batch_size=args.batch,
+            n_layers=args.layers,
+            learning_rate=args.lr,
+            momentum=args.momentum,
+            data_path=args.data,
+            out_dir=args.out,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _check_probability(parser, args.prob)
     channel = ChannelKind(args.channel)
-    record = execute_run(
-        channel,
-        args.prob,
-        args.seed,
-        steps=args.steps,
-        batch_size=args.batch,
-        n_layers=args.layers,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        data_path=args.data,
+    config = _sweep_config(
+        parser, args, channels=(channel,), probabilities=(args.prob,), seeds=(args.seed,)
     )
+    record = execute_run(channel, args.prob, args.seed, **config.run_settings())
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, run_filename(channel, args.prob, args.seed))
-    write_run_csv(path, record)
-    final = record.final_val_accuracy() if record.steps else float("nan")
+    write_results_csv(path, [record])
+    final = record.final_val_accuracy()
     print(f"wrote {path} ({len(record.steps)} steps, final val acc {final:.3f})")
     return 0
 
 
 def _cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    for p in args.probs:
-        _check_probability(parser, p)
-    config = SweepConfig(
+    config = _sweep_config(
+        parser,
+        args,
         channels=tuple(ChannelKind(c) for c in args.channels),
         probabilities=tuple(args.probs),
         seeds=tuple(args.seeds),
-        steps=args.steps,
-        batch_size=args.batch,
-        n_layers=args.layers,
-        learning_rate=args.lr,
-        momentum=args.momentum,
-        data_path=args.data,
-        out_dir=args.out,
         workers=args.workers,
     )
 
@@ -137,8 +137,6 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
             f"seed={record.seed} final val acc {record.final_val_accuracy():.3f}",
             file=sys.stderr,
         )
-
-    from .sweep import run_sweep  # local import keeps module import light
 
     records = run_sweep(config, progress=progress)
     cells = write_sweep_outputs(records, config.out_dir)

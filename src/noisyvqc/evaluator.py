@@ -15,9 +15,11 @@ instructions ahead of time:
   superoperator acting on row-major vectorized states, applied as a
   single matrix product per layer.
 
-The result is identical to folding ``circuit.build_ansatz`` through the
-reference simulator; the test suite pins the two paths together at
-1e-12.
+This module is the package's only gate library: a single gate is a
+batch of one, e.g. ``rot_matrices(angles[None])[0]``.  The result is
+identical to folding ``simulator.ansatz_kraus_sets`` through the
+reference oracle ``simulator.run``; the test suite pins the two paths
+together at 1e-12.
 """
 
 from __future__ import annotations
@@ -70,13 +72,8 @@ def kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("bij,bkl->bikjl", a, b).reshape(-1, 4, 4)
 
 
-def conjugation_superop(u: np.ndarray) -> np.ndarray:
-    """16x16 superoperator of rho -> u rho u^dag on row-major vec(rho)."""
-    return np.kron(u, u.conj())
-
-
 def kraus_superop(ops: list[np.ndarray]) -> np.ndarray:
-    """16x16 superoperator of the Kraus sum over 4x4 operators."""
+    """16x16 superoperator of the Kraus sum over 4x4 operators; a unitary is a set of one."""
     out = np.zeros((16, 16), dtype=complex)
     for k in ops:
         out += np.kron(k, k.conj())
@@ -90,7 +87,7 @@ def static_layer_superop(config: AnsatzConfig) -> np.ndarray:
     on qubit 0, noise on qubit 1.  Noise-free configs reduce to the
     CNOT conjugation alone.
     """
-    cnot_s = conjugation_superop(_CNOT)
+    cnot_s = kraus_superop([_CNOT])
     if config.channel is ChannelKind.NONE:
         return cnot_s
     ch = build_channel(config.channel, config.probability)

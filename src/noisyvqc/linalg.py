@@ -15,41 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-MAX_DIM = 4
-
 I2 = np.eye(2, dtype=complex)
-I4 = np.eye(4, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
-def _require_square(a: np.ndarray, name: str = "matrix") -> int:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    return a.shape[0]
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of two equally sized square matrices."""
-    n = _require_square(a, "a")
-    m = _require_square(b, "b")
-    if n != m:
-        raise ValueError(f"dimension mismatch: {n} vs {m}")
-    return a @ b
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with ``a`` as the most significant factor.
-
-    The result dimension is capped at 4 because the simulated register
-    never exceeds two qubits.
-    """
-    n = _require_square(a, "a")
-    m = _require_square(b, "b")
-    if n * m > MAX_DIM:
-        raise ValueError(f"kron result dimension {n * m} exceeds {MAX_DIM}")
-    return np.kron(a, b)
 
 
 def dagger(a: np.ndarray) -> np.ndarray:
@@ -57,42 +26,26 @@ def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def trace(a: np.ndarray) -> complex:
-    """Sum of the diagonal entries."""
-    _require_square(a)
-    return complex(np.trace(a))
-
-
 def max_abs(a: np.ndarray) -> float:
     """Largest absolute entry; the norm used by all predicates here."""
     return float(np.max(np.abs(a)))
-
-
-def is_unitary(a: np.ndarray, tol: float = 1e-12) -> bool:
-    """True iff ``a† a`` equals the identity within ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    n = _require_square(a)
-    return max_abs(dagger(a) @ a - np.eye(n)) <= tol
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
     """True iff ``a`` equals its conjugate transpose within ``tol``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _require_square(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
     return max_abs(a - dagger(a)) <= tol
 
 
 def min_eigenvalue(a: np.ndarray, herm_tol: float = 1e-10) -> float:
-    """Smallest eigenvalue of a Hermitian matrix of dimension <= 4.
+    """Smallest eigenvalue of a Hermitian matrix.
 
     Raises ``ValueError`` if ``a`` is not Hermitian within ``herm_tol``;
     eigenvalues of non-Hermitian matrices are not meaningfully ordered.
     """
-    n = _require_square(a)
-    if n > MAX_DIM:
-        raise ValueError(f"dimension {n} exceeds {MAX_DIM}")
     if not is_hermitian(a, herm_tol):
         raise ValueError("matrix is not Hermitian within tolerance")
     return float(np.linalg.eigvalsh(a)[0])

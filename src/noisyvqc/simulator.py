@@ -1,10 +1,12 @@
-"""Exact density-matrix evolution of two-qubit circuits.
+"""Reference density-matrix simulator: a deliberately simple oracle.
 
-States are 4x4 complex density matrices evolved instruction by
-instruction: unitaries act as ``rho -> U rho U^dag`` and noise
-instructions through their Kraus sums.  Expectation values are computed
+A circuit is a list of Kraus sets of 4x4 register operators, folded in
+order as ``rho -> sum_k K rho K^dag``; a unitary gate is a set of one.
+Every gate is built from its textbook definition, independently of the
+closed forms in :mod:`noisyvqc.evaluator`, and the test suite pins the
+two paths together at 1e-12.  Expectation values are computed
 analytically (no shot sampling), so repeated runs are exactly
-reproducible and training curves carry no statistical noise.
+reproducible.
 
 Readout is the Pauli-Z expectation of qubit 0 only, i.e.
 ``Tr(rho (Z kron I))``.
@@ -12,31 +14,60 @@ Readout is the Pauli-Z expectation of qubit 0 only, i.e.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .channels import apply_channel, build_channel, embed_kraus
-from .circuit import (
-    CNOT,
-    RX,
-    RY,
-    RZ,
-    ChannelOp,
-    Circuit,
-    GateOp,
-    Rot,
-    cnot_matrix,
-    rot_matrix,
-    rx_matrix,
-    ry_matrix,
-    rz_matrix,
-)
-from .linalg import I2, dagger, is_hermitian, kron, min_eigenvalue
+from .channels import ChannelKind, build_channel, embed_kraus
+from .circuit import AnsatzConfig, N_QUBITS, cnot_matrix, param_shape
+from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, is_hermitian, min_eigenvalue
 
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-10
 #: imaginary residue beyond this in an expectation value signals a bug upstream
 IMAG_RESIDUE_LIMIT = 1e-8
+
+
+def rotation(pauli: np.ndarray, angle: float) -> np.ndarray:
+    """Half-angle rotation ``cos(a/2) I - i sin(a/2) P`` about the Pauli matrix ``P``."""
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle!r}")
+    return math.cos(angle / 2) * I2 - 1j * math.sin(angle / 2) * pauli
+
+
+def on_qubit(ops, target: int) -> list[np.ndarray]:
+    """Kraus set lifting the 2x2 operators ``ops`` onto qubit ``target``."""
+    return [embed_kraus(k, target) for k in ops]
+
+
+def ansatz_kraus_sets(features, params, config: AnsatzConfig) -> list[list[np.ndarray]]:
+    """The classifier circuit for one sample as a list of Kraus sets.
+
+    ``features`` are the two encoding angles (radians) and ``params``
+    the trainable tensor of shape ``(n_layers, 2, 3)``.  Order: the two
+    encoding RX gates, then per layer the two Rot gates, the noise
+    channel on each qubit, the CNOT, and the noise channel on each
+    qubit again; noise-free configs omit the channel sets.
+    """
+    features = np.asarray(features, dtype=float)
+    params = np.asarray(params, dtype=float)
+    if features.shape != (N_QUBITS,):
+        raise ValueError(f"expected {N_QUBITS} feature angles, got shape {features.shape}")
+    if params.shape != param_shape(config):
+        raise ValueError(f"params shape {params.shape} does not match {param_shape(config)}")
+    noise = []
+    if config.channel is not ChannelKind.NONE:
+        kraus = build_channel(config.channel, config.probability).kraus_ops
+        noise = [on_qubit(kraus, q) for q in range(N_QUBITS)]
+
+    sets = [on_qubit([rotation(PAULI_X, features[q])], q) for q in range(N_QUBITS)]
+    for layer in params:
+        for q, (phi, theta, omega) in enumerate(layer):
+            rot = rotation(PAULI_Z, omega) @ rotation(PAULI_Y, theta) @ rotation(PAULI_Z, phi)
+            sets.append(on_qubit([rot], q))
+        sets += noise + [[cnot_matrix(0, 1)]] + noise
+    return sets
 
 
 def init_state() -> np.ndarray:
@@ -46,36 +77,9 @@ def init_state() -> np.ndarray:
     return rho
 
 
-def full_unitary(op: GateOp) -> np.ndarray:
-    """The 4x4 register unitary realizing a unitary instruction."""
-    if isinstance(op, RX):
-        local = rx_matrix(op.angle)
-    elif isinstance(op, RY):
-        local = ry_matrix(op.angle)
-    elif isinstance(op, RZ):
-        local = rz_matrix(op.angle)
-    elif isinstance(op, Rot):
-        local = rot_matrix(op.phi, op.theta, op.omega)
-    elif isinstance(op, CNOT):
-        return cnot_matrix(op.control, op.target)
-    else:
-        raise ValueError(f"not a unitary instruction: {op!r}")
-    return kron(local, I2) if op.target == 0 else kron(I2, local)
-
-
-def apply_unitary(rho: np.ndarray, op: GateOp) -> np.ndarray:
-    """Conjugate ``rho`` by the register unitary of ``op``."""
-    if isinstance(op, ChannelOp):
-        raise ValueError("channel instructions must go through apply_instruction")
-    u = full_unitary(op)
-    return u @ rho @ dagger(u)
-
-
-def apply_instruction(rho: np.ndarray, op: GateOp) -> np.ndarray:
-    """Advance ``rho`` by one instruction of either variant."""
-    if isinstance(op, ChannelOp):
-        return apply_channel(rho, build_channel(op.kind, op.probability), op.target)
-    return apply_unitary(rho, op)
+def apply_kraus(rho: np.ndarray, ops) -> np.ndarray:
+    """Advance ``rho`` by one Kraus set: ``sum_k K rho K^dag``."""
+    return sum(k @ rho @ dagger(k) for k in ops)
 
 
 def expectation_z0(rho: np.ndarray) -> float:
@@ -86,44 +90,27 @@ def expectation_z0(rho: np.ndarray) -> float:
     return float(value.real)
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    trace_tol: float = TRACE_TOL,
-    herm_tol: float = HERMITICITY_TOL,
-    psd_tol: float = PSD_TOL,
-) -> None:
-    """Raise if ``rho`` is not trace-1, Hermitian, and PSD within tolerance."""
+def validate_density_matrix(rho: np.ndarray) -> None:
+    """Raise if ``rho`` is not trace-1, Hermitian, and PSD within the module tolerances."""
     tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):g}")
-    if not is_hermitian(rho, herm_tol):
+    if not is_hermitian(rho, HERMITICITY_TOL):
         raise ValueError("state is not Hermitian within tolerance")
-    lo = min_eigenvalue(rho, herm_tol)
-    if lo < -psd_tol:
+    lo = min_eigenvalue(rho, HERMITICITY_TOL)
+    if lo < -PSD_TOL:
         raise ValueError(f"state has negative eigenvalue {lo:g}")
 
 
-def run(circuit: Circuit, check: bool = False) -> float:
-    """Fold |00><00| through all instructions and read out <Z> on qubit 0.
+def run(kraus_sets, check: bool = False) -> float:
+    """Fold |00><00| through every Kraus set and read out <Z> on qubit 0.
 
     With ``check=True`` the density-matrix invariants are validated
-    after every instruction; leave it off in hot loops.
+    after every set; leave it off in hot loops.
     """
     rho = init_state()
-    for op in circuit.ops:
-        rho = apply_instruction(rho, op)
+    for ops in kraus_sets:
+        rho = apply_kraus(rho, ops)
         if check:
             validate_density_matrix(rho)
     return expectation_z0(rho)
-
-
-__all__ = [
-    "init_state",
-    "full_unitary",
-    "apply_unitary",
-    "apply_instruction",
-    "expectation_z0",
-    "validate_density_matrix",
-    "run",
-    "embed_kraus",
-]

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,6 +76,27 @@ class SweepConfig:
         for p in self.probabilities:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"probability {p} outside [0, 1]")
+        for name in ("steps", "batch_size", "n_layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+
+    def run_settings(self) -> dict:
+        """Keyword arguments of :func:`execute_run` shared by every run of the sweep."""
+        return dict(
+            steps=self.steps,
+            batch_size=self.batch_size,
+            n_layers=self.n_layers,
+            learning_rate=self.learning_rate,
+            momentum=self.momentum,
+            split_ratio=self.split_ratio,
+            data_path=self.data_path,
+        )
 
     def run_specs(self) -> list[tuple[ChannelKind, float, int]]:
         """All runs of the sweep: baselines first, then the noise grid."""
@@ -145,30 +167,16 @@ def run_sweep(config: SweepConfig, progress=None) -> list[RunRecord]:
     The returned list follows ``config.run_specs()`` order regardless of
     scheduling, so downstream output is deterministic.
     """
-    settings = dict(
-        steps=config.steps,
-        batch_size=config.batch_size,
-        n_layers=config.n_layers,
-        learning_rate=config.learning_rate,
-        momentum=config.momentum,
-        split_ratio=config.split_ratio,
-        data_path=config.data_path,
-    )
+    settings = config.run_settings()
     tasks = [(ch.value, prob, seed, settings) for ch, prob, seed in config.run_specs()]
     workers = config.workers or os.cpu_count() or 1
     records: list[RunRecord] = []
-    if workers <= 1:
-        iterator: Iterable[RunRecord] = map(_run_spec, tasks)
-        for record in iterator:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        results = pool.map(_run_spec, tasks, chunksize=4) if pool else map(_run_spec, tasks)
+        for record in results:
             records.append(record)
             if progress:
                 progress(record, len(records), len(tasks))
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for record in pool.map(_run_spec, tasks, chunksize=4):
-                records.append(record)
-                if progress:
-                    progress(record, len(records), len(tasks))
     return records
 
 
@@ -185,27 +193,20 @@ def run_filename(channel: ChannelKind, probability: float, seed: int) -> str:
     return f"run_{channel.value}_{probability:g}_{seed}.csv"
 
 
-def record_rows(record: RunRecord) -> list[str]:
-    """CSV data rows of one run, floats printed with 6 decimal places."""
-    rid = run_id(record.channel, record.probability, record.seed)
-    return [
-        f"{rid},{record.channel.value},{record.probability:.6f},{record.seed},"
-        f"{s.step},{s.cost:.6f},{s.train_accuracy:.6f},{s.val_accuracy:.6f}"
-        for s in record.steps
-    ]
-
-
-def write_run_csv(path: str, record: RunRecord) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(CSV_HEADER + "\n")
-        f.writelines(row + "\n" for row in record_rows(record))
-
-
 def write_results_csv(path: str, records: Sequence[RunRecord]) -> None:
+    """Write a results.csv, or a single-run CSV when given one record.
+
+    One row per recorded step; floats are printed with 6 decimal places.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(CSV_HEADER + "\n")
-        for record in records:
-            f.writelines(row + "\n" for row in record_rows(record))
+        for r in records:
+            rid = run_id(r.channel, r.probability, r.seed)
+            f.writelines(
+                f"{rid},{r.channel.value},{r.probability:.6f},{r.seed},"
+                f"{s.step},{s.cost:.6f},{s.train_accuracy:.6f},{s.val_accuracy:.6f}\n"
+                for s in r.steps
+            )
 
 
 def read_results_csv(path: str) -> list[RunRecord]:
@@ -247,6 +248,16 @@ def read_results_csv(path: str) -> list[RunRecord]:
 _KIND_ORDER = {kind: i for i, kind in enumerate(ChannelKind)}
 
 
+def group_by_cell(
+    records: Sequence[RunRecord],
+) -> list[tuple[tuple[ChannelKind, float], list[RunRecord]]]:
+    """Runs grouped by (channel, probability), in channel-kind then probability order."""
+    groups: dict[tuple[ChannelKind, float], list[RunRecord]] = {}
+    for record in records:
+        groups.setdefault((record.channel, record.probability), []).append(record)
+    return sorted(groups.items(), key=lambda kv: (_KIND_ORDER[kv[0][0]], kv[0][1]))
+
+
 def summarize(
     records: Sequence[RunRecord],
     threshold: float = TRAINABLE_THRESHOLD,
@@ -258,19 +269,16 @@ def summarize(
     With ``expected`` given, any listed (channel, probability) cell that
     has no runs is reported as an error instead of being fabricated.
     """
-    groups: dict[tuple[ChannelKind, float], list[float]] = {}
-    for record in records:
-        key = (record.channel, record.probability)
-        groups.setdefault(key, []).append(record.final_val_accuracy(window))
+    groups = group_by_cell(records)
     if expected is not None:
-        missing = [key for key in expected if key not in groups]
+        present = {key for key, _ in groups}
+        missing = [key for key in expected if key not in present]
         if missing:
             names = ", ".join(f"{k.value} p={p:g}" for k, p in missing)
             raise ValueError(f"missing sweep cells: {names}")
     cells = []
-    for (channel, prob), accs in sorted(
-        groups.items(), key=lambda kv: (_KIND_ORDER[kv[0][0]], kv[0][1])
-    ):
+    for (channel, prob), group in groups:
+        accs = [record.final_val_accuracy(window) for record in group]
         mean_acc = float(np.mean(accs))
         cells.append(
             CellSummary(
@@ -309,18 +317,13 @@ def write_sweep_outputs(records: Sequence[RunRecord], out_dir: str) -> list[Cell
     """Write per-run CSVs, results.csv, per-config SVGs, and summary.csv."""
     os.makedirs(out_dir, exist_ok=True)
     for record in records:
-        write_run_csv(
+        write_results_csv(
             os.path.join(out_dir, run_filename(record.channel, record.probability, record.seed)),
-            record,
+            [record],
         )
     write_results_csv(os.path.join(out_dir, "results.csv"), records)
 
-    groups: dict[tuple[ChannelKind, float], list[RunRecord]] = {}
-    for record in records:
-        groups.setdefault((record.channel, record.probability), []).append(record)
-    for (channel, prob), group in sorted(
-        groups.items(), key=lambda kv: (_KIND_ORDER[kv[0][0]], kv[0][1])
-    ):
+    for (channel, prob), group in group_by_cell(records):
         name = f"curves_{channel.value}_{prob:g}.svg"
         with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as f:
             f.write(emit_svg(group))

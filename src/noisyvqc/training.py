@@ -28,7 +28,7 @@ bit-reproducible from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,13 +51,8 @@ DEFAULT_LEARNING_RATE = 0.01
 DEFAULT_MOMENTUM = 0.9
 
 
-def square_loss(label: float, output: float) -> float:
-    """Square loss ``(y - h)**2`` for one sample."""
-    return float(label - output) ** 2
-
-
 def batch_cost(labels, outputs) -> float:
-    """Mean square loss over a batch."""
+    """Mean square loss ``(y - h)**2`` over a batch; one sample is a batch of one."""
     labels = np.asarray(labels, dtype=float)
     outputs = np.asarray(outputs, dtype=float)
     return float(np.mean((labels - outputs) ** 2))
@@ -196,8 +191,9 @@ def train(
     Each step samples ``batch_size`` training points uniformly with
     replacement, takes one Nesterov step on the batch cost, then records
     the batch cost and the full-split train/validation accuracies at the
-    updated parameters.  Parameters start from i.i.d. normal(0, 0.1)
-    draws; all randomness comes from one PCG64 generator seeded with
+    updated parameters.  Parameters start from i.i.d. normal(0, INIT_STD)
+    draws, with ``INIT_STD`` = 1e-7 next to the all-zero stationary
+    point; all randomness comes from one PCG64 generator seeded with
     ``seed``, so identical arguments reproduce the run bit for bit.
     """
     train_features = np.asarray(train_features, dtype=float)

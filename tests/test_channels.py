@@ -121,6 +121,14 @@ class TestApplyChannel:
         )
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
+    def test_embed_kraus_qubit_ordering(self):
+        # qubit 0 is the most significant tensor factor; hand expansions
+        np.testing.assert_array_equal(embed_kraus(PAULI_Z, 0), np.diag([1, 1, -1, -1]))
+        np.testing.assert_array_equal(embed_kraus(PAULI_Z, 1), np.diag([1, -1, 1, -1]))
+        np.testing.assert_array_equal(
+            embed_kraus(PAULI_X, 0) @ embed_kraus(PAULI_X, 1), np.fliplr(np.eye(4))
+        )
+
     def test_invalid_target(self, rng):
         ch = build_channel(ChannelKind.BIT_FLIP, 0.5)
         with pytest.raises(ValueError):

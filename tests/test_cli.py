@@ -49,6 +49,33 @@ class TestRunCommand:
         assert code == 0
 
 
+class TestTrainingFlagValidation:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--channel", "none", "--batch", "0"],
+            ["run", "--channel", "none", "--batch", "-1"],
+            ["run", "--channel", "none", "--steps", "0"],
+            ["run", "--channel", "none", "--layers", "0"],
+            ["run", "--channel", "none", "--lr", "-1"],
+            ["run", "--channel", "none", "--momentum", "1"],
+            ["sweep", "--steps", "0"],
+            ["sweep", "--batch", "0"],
+            ["sweep", "--layers", "0"],
+            ["sweep", "--lr", "0"],
+            ["sweep", "--momentum", "-0.5"],
+            ["sweep", "--workers", "0"],
+        ],
+    )
+    def test_bad_value_exits_2_without_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_filtered_sweep_file_set(self, tmp_path, capsys):
         out = str(tmp_path / "sweep")

@@ -1,38 +1,80 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from noisyvqc.channels import ChannelKind
-from noisyvqc.circuit import (
-    AnsatzConfig,
-    build_ansatz,
-    cnot_matrix,
-    param_shape,
-    rot_matrix,
-    rx_matrix,
-)
+from noisyvqc.circuit import AnsatzConfig, cnot_matrix, param_shape
 from noisyvqc.evaluator import (
     ansatz_expectations,
-    conjugation_superop,
+    kraus_superop,
     kron_batch,
     rot_matrices,
     rx_matrices,
     static_layer_superop,
 )
-from noisyvqc.simulator import run
+from noisyvqc.linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, max_abs
+from noisyvqc.simulator import ansatz_kraus_sets, rotation, run
+
+
+def rx(theta):
+    return rx_matrices(np.array([theta]))[0]
+
+
+def rot(phi, theta, omega):
+    return rot_matrices(np.array([[phi, theta, omega]]))[0]
 
 
 class TestGateMatrixStacks:
-    def test_rx_matches_scalar(self, rng):
+    def test_rx_zero(self):
+        np.testing.assert_allclose(rx(0.0), I2)
+
+    def test_rx_pi(self):
+        np.testing.assert_allclose(rx(math.pi), np.array([[0, -1j], [-1j, 0]]), atol=1e-15)
+
+    def test_rx_half_pi_expectation(self):
+        # <Z> of RX(theta)|0> is cos(theta); zero at theta = pi/2
+        col = rx(math.pi / 2)[:, 0]
+        z = abs(col[0]) ** 2 - abs(col[1]) ** 2
+        assert z == pytest.approx(0.0, abs=1e-15)
+
+    def test_rot_identity(self):
+        np.testing.assert_allclose(rot(0.0, 0.0, 0.0), I2)
+
+    def test_rot_pure_ry(self):
+        np.testing.assert_allclose(
+            rot(0.0, math.pi, 0.0), np.array([[0, -1], [1, 0]], dtype=complex), atol=1e-15
+        )
+
+    def test_rot_phases_add(self):
+        a, b = 0.7, -1.9
+        np.testing.assert_allclose(rot(a, 0.0, b), rotation(PAULI_Z, a + b), atol=1e-15)
+
+    def test_unitarity_random_angles(self, rng):
+        def unitary(u):
+            return max_abs(dagger(u) @ u - I2) <= 1e-12
+
+        thetas = rng.uniform(-10, 10, size=50)
+        triples = rng.uniform(-10, 10, size=(50, 3))
+        assert all(unitary(u) for u in rx_matrices(thetas))
+        assert all(unitary(u) for u in rot_matrices(triples))
+        for pauli in (PAULI_X, PAULI_Y, PAULI_Z):
+            assert all(unitary(rotation(pauli, theta)) for theta in thetas)
+
+    def test_rx_matches_oracle(self, rng):
         angles = rng.uniform(-8, 8, size=6)
         stack = rx_matrices(angles)
         for angle, mat in zip(angles, stack):
-            np.testing.assert_allclose(mat, rx_matrix(angle), atol=1e-15)
+            np.testing.assert_allclose(mat, rotation(PAULI_X, angle), atol=1e-15)
 
-    def test_rot_matches_scalar(self, rng):
+    def test_rot_matches_oracle(self, rng):
         triples = rng.uniform(-8, 8, size=(6, 3))
         stack = rot_matrices(triples)
         for (phi, theta, omega), mat in zip(triples, stack):
-            np.testing.assert_allclose(mat, rot_matrix(phi, theta, omega), atol=1e-14)
+            oracle = rotation(PAULI_Z, omega) @ rotation(PAULI_Y, theta) @ rotation(PAULI_Z, phi)
+            np.testing.assert_allclose(mat, oracle, atol=1e-14)
 
     def test_kron_batch_matches_numpy(self, rng):
         a = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
@@ -46,25 +88,41 @@ class TestSuperops:
     def test_noise_free_layer_is_cnot_conjugation(self):
         cfg = AnsatzConfig(n_layers=1)
         np.testing.assert_array_equal(
-            static_layer_superop(cfg), conjugation_superop(cnot_matrix())
+            static_layer_superop(cfg), kraus_superop([cnot_matrix()])
         )
 
-    def test_conjugation_superop_action(self, rng):
+    def test_unitary_superop_action(self, rng):
         u = cnot_matrix()
         rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        vec_out = conjugation_superop(u) @ rho.reshape(16)
+        vec_out = kraus_superop([u]) @ rho.reshape(16)
         np.testing.assert_allclose(vec_out.reshape(4, 4), u @ rho @ u.conj().T, atol=1e-14)
 
 
 class TestAgainstReferenceSimulator:
     @pytest.mark.parametrize("kind", list(ChannelKind))
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
-    def test_matches_instruction_fold(self, rng, kind, p):
+    def test_matches_kraus_fold(self, rng, kind, p):
         cfg = AnsatzConfig(channel=kind, probability=p, n_layers=3)
         features = rng.uniform(0, np.pi, size=(4, 2))
         params = rng.normal(scale=1.5, size=(4,) + param_shape(cfg))
         fast = ansatz_expectations(features, params, cfg)
-        reference = [run(build_ansatz(features[i], params[i], cfg)) for i in range(4)]
+        reference = [run(ansatz_kraus_sets(features[i], params[i], cfg)) for i in range(4)]
+        np.testing.assert_allclose(fast, reference, atol=1e-12)
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(list(ChannelKind)),
+        p=st.floats(0.0, 1.0),
+        n_layers=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_matches_kraus_fold_property(self, kind, p, n_layers, data):
+        cfg = AnsatzConfig(channel=kind, probability=p, n_layers=n_layers)
+        angles = st.floats(-10.0, 10.0)
+        features = data.draw(arrays(float, (3, 2), elements=angles), label="features")
+        params = data.draw(arrays(float, (3,) + param_shape(cfg), elements=angles), label="params")
+        fast = ansatz_expectations(features, params, cfg)
+        reference = [run(ansatz_kraus_sets(features[i], params[i], cfg)) for i in range(3)]
         np.testing.assert_allclose(fast, reference, atol=1e-12)
 
     def test_shared_params_broadcast(self, rng):

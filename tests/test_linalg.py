@@ -1,76 +1,13 @@
 import numpy as np
 import pytest
 
-from noisyvqc.linalg import (
-    I2,
-    I4,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    dagger,
-    is_hermitian,
-    is_unitary,
-    kron,
-    matmul,
-    max_abs,
-    min_eigenvalue,
-    trace,
-)
+from noisyvqc.linalg import I2, PAULI_Y, dagger, is_hermitian, max_abs, min_eigenvalue
 
 from conftest import random_density_matrix
 
 
 def random_complex(rng, dim=2):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-
-
-class TestMatmul:
-    def test_identity(self):
-        np.testing.assert_array_equal(matmul(I2, I2), I2)
-
-    def test_pauli_involution(self):
-        np.testing.assert_array_equal(matmul(PAULI_X, PAULI_X), I2)
-
-    def test_zx_product(self):
-        # hand multiplication of the 2x2 matrices
-        np.testing.assert_array_equal(matmul(PAULI_Z, PAULI_X), np.array([[0, 1], [-1, 0]]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            matmul(I2, I4)
-
-    def test_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            matmul(np.zeros((2, 3)), np.zeros((3, 3)))
-
-
-class TestKron:
-    def test_i_z_diagonal(self):
-        np.testing.assert_array_equal(kron(I2, PAULI_Z), np.diag([1, -1, 1, -1]).astype(complex))
-
-    def test_z_i_diagonal(self):
-        np.testing.assert_array_equal(kron(PAULI_Z, I2), np.diag([1, 1, -1, -1]).astype(complex))
-
-    def test_x_x_antidiagonal(self):
-        # hand expansion: ones on the anti-diagonal
-        np.testing.assert_array_equal(kron(PAULI_X, PAULI_X), np.fliplr(np.eye(4)).astype(complex))
-
-    def test_result_dimension_cap(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            kron(I4, I2)
-
-    def test_mixed_product_property(self, rng):
-        # (a kron b) @ (c kron d) == (a @ c) kron (b @ d)
-        for _ in range(25):
-            a, b, c, d = (random_complex(rng) for _ in range(4))
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
-            assert max_abs(lhs - rhs) <= 1e-12
-
-    def test_associativity_with_scalar_factor(self, rng):
-        one = np.eye(1, dtype=complex)
-        a, b = random_complex(rng), random_complex(rng)
-        np.testing.assert_allclose(kron(kron(a, b), one), kron(a, kron(b, one)))
 
 
 class TestDagger:
@@ -92,34 +29,7 @@ class TestDagger:
             np.testing.assert_array_equal(dagger(dagger(a)), a)
 
 
-class TestTrace:
-    def test_identity4(self):
-        assert trace(I4) == 4
-
-    def test_pauli_z(self):
-        assert trace(PAULI_Z) == 0
-
-    def test_constructed_diagonal(self):
-        assert trace(np.diag([0.3, 0.7, 0.0, 0.0]).astype(complex)) == pytest.approx(1.0)
-
-    def test_cyclic_property(self, rng):
-        for _ in range(25):
-            a, b = random_complex(rng, 4), random_complex(rng, 4)
-            assert abs(trace(a @ b) - trace(b @ a)) <= 1e-12
-
-
 class TestPredicates:
-    def test_pauli_x_unitary(self):
-        assert is_unitary(PAULI_X, 1e-12)
-
-    def test_scaled_identity_not_unitary(self):
-        assert not is_unitary(0.5 * I2, 1e-12)
-
-    def test_rot_unitary(self):
-        from noisyvqc.circuit import rot_matrix
-
-        assert is_unitary(rot_matrix(0.3, 1.1, -2.0), 1e-12)
-
     def test_hermitian(self, rng):
         rho = random_density_matrix(rng)
         assert is_hermitian(rho, 1e-12)
@@ -127,7 +37,7 @@ class TestPredicates:
 
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
-            is_unitary(I2, 0.0)
+            is_hermitian(I2, 0.0)
 
 
 def power_iteration_min_eig(a, iterations=20000, seed=7):
@@ -146,7 +56,7 @@ def power_iteration_min_eig(a, iterations=20000, seed=7):
 
 class TestMinEigenvalue:
     def test_half_identity(self):
-        assert min_eigenvalue(I4 / 2) == pytest.approx(0.5)
+        assert min_eigenvalue(np.eye(4, dtype=complex) / 2) == pytest.approx(0.5)
 
     def test_projector(self):
         assert min_eigenvalue(np.diag([1.0, 0, 0, 0]).astype(complex)) == pytest.approx(0.0)

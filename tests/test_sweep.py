@@ -15,7 +15,6 @@ from noisyvqc.sweep import (
     run_sweep,
     summarize,
     write_results_csv,
-    write_run_csv,
     write_summary_csv,
     write_sweep_outputs,
 )
@@ -86,6 +85,25 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepConfig(probabilities=(0.5, 1.3))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("steps", 0),
+            ("batch_size", 0),
+            ("batch_size", -1),
+            ("n_layers", 0),
+            ("learning_rate", 0.0),
+            ("learning_rate", -1.0),
+            ("learning_rate", float("nan")),
+            ("momentum", -0.1),
+            ("momentum", 1.0),
+            ("workers", 0),
+        ],
+    )
+    def test_rejects_bad_training_setting(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SweepConfig(**{field: value})
+
 
 class TestCsvRoundTrip:
     def test_results_round_trip(self, tmp_path):
@@ -108,7 +126,7 @@ class TestCsvRoundTrip:
     def test_row_format_six_decimals(self, tmp_path):
         record = synthetic_record(ChannelKind.PHASE_FLIP, 0.1, 3, [0.5])
         path = str(tmp_path / "run.csv")
-        write_run_csv(path, record)
+        write_results_csv(path, [record])
         header, row = open(path).read().splitlines()
         assert header == CSV_HEADER
         assert row == "phase-flip_0.1_3,phase-flip,0.100000,3,1,0.100000,0.500000,0.500000"

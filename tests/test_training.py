@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from noisyvqc.channels import ChannelKind
-from noisyvqc.circuit import RX, AnsatzConfig, Circuit, param_shape
-from noisyvqc.simulator import run
+from noisyvqc.circuit import AnsatzConfig, param_shape
+from noisyvqc.linalg import PAULI_X
+from noisyvqc.simulator import on_qubit, rotation, run
 from noisyvqc.training import (
     OptimizerState,
     RunRecord,
@@ -17,19 +18,23 @@ from noisyvqc.training import (
     nesterov_step,
     parameter_shift_grad,
     predict,
-    square_loss,
     train,
 )
 
 XOR_FEATURES = np.array([[0.0, 0.0], [math.pi, 0.0]])
 
 
+def rx_expectation(theta):
+    """<Z> on qubit 0 after RX(theta) on |00>, folded by the reference oracle."""
+    return run([on_qubit([rotation(PAULI_X, theta)], 0)])
+
+
 class TestLossAndPrediction:
     def test_square_loss_zero(self):
-        assert square_loss(1, 1.0) == 0.0
+        assert batch_cost([1], [1.0]) == 0.0
 
     def test_square_loss_worst(self):
-        assert square_loss(-1, 1.0) == 4.0
+        assert batch_cost([-1], [1.0]) == 4.0
 
     def test_batch_cost_mean(self):
         assert batch_cost([1, -1], [0.5, -0.5]) == pytest.approx(0.25)
@@ -66,16 +71,11 @@ class TestParameterShift:
         # dh/dtheta of <Z> = cos(theta) is -sin(theta); the +-pi/2 shift
         # realizes it exactly
         theta = math.pi / 3
-        shifted = (
-            run(Circuit(ops=(RX(theta + math.pi / 2, 0),)))
-            - run(Circuit(ops=(RX(theta - math.pi / 2, 0),)))
-        ) / 2
+        shifted = (rx_expectation(theta + math.pi / 2) - rx_expectation(theta - math.pi / 2)) / 2
         assert shifted == pytest.approx(-math.sin(theta), abs=1e-12)
 
     def test_rule_stationary_at_zero(self):
-        shifted = (
-            run(Circuit(ops=(RX(math.pi / 2, 0),))) - run(Circuit(ops=(RX(-math.pi / 2, 0),)))
-        ) / 2
+        shifted = (rx_expectation(math.pi / 2) - rx_expectation(-math.pi / 2)) / 2
         assert shifted == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_gradient_at_depolarizing_fixed_point(self, rng):
