@@ -30,6 +30,7 @@ from .channels import ChannelKind
 N_QUBITS = 2
 #: trainable angles per qubit per layer (the three Rot Euler angles)
 ANGLES_PER_ROT = 3
+DEFAULT_LAYERS = 5
 
 
 def cnot_matrix(control: int = 0, target: int = 1) -> np.ndarray:
@@ -51,7 +52,7 @@ class AnsatzConfig:
 
     channel: ChannelKind = ChannelKind.NONE
     probability: float = 0.0
-    n_layers: int = 5
+    n_layers: int = DEFAULT_LAYERS
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.probability <= 1.0:

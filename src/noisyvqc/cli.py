@@ -19,10 +19,11 @@ import os
 import sys
 
 from .channels import NOISY_KINDS, ChannelKind
+from .circuit import DEFAULT_LAYERS
 from .sweep import (
-    DEFAULT_LAYERS,
     DEFAULT_PROBABILITIES,
     DEFAULT_SEEDS,
+    SettingError,
     SweepConfig,
     execute_run,
     format_summary_table,
@@ -43,6 +44,8 @@ from .training import (
 
 _CHANNEL_VALUES = [k.value for k in ChannelKind]
 _NOISY_VALUES = [k.value for k in NOISY_KINDS]
+
+_FLAGS = {"batch_size": "--batch", "n_layers": "--layers", "learning_rate": "--lr", "probabilities": "--probs"}
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
@@ -67,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--prob", type=float, default=0.0, help="channel probability in [0, 1]")
     run_p.add_argument("--seed", type=int, default=1, help="run seed")
     _add_training_flags(run_p)
+    run_p.set_defaults(handler=_cmd_run, parser=run_p)
 
     sweep_p = sub.add_parser("sweep", help="run the noise grid plus noise-free baselines")
     sweep_p.add_argument(
@@ -82,16 +86,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument("--workers", type=int, default=None, help="parallel worker processes")
     _add_training_flags(sweep_p)
+    sweep_p.set_defaults(handler=_cmd_sweep, parser=sweep_p)
 
     sum_p = sub.add_parser("summarize", help="recompute summary.csv from results.csv")
     sum_p.add_argument("--out", metavar="DIR", default="results", help="directory holding results.csv")
+    sum_p.set_defaults(handler=_cmd_summarize, parser=sum_p)
     return parser
 
 
 def _sweep_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, **grid
+    parser: argparse.ArgumentParser, args: argparse.Namespace, flags: dict[str, str], **grid
 ) -> SweepConfig:
-    """The grid plus the training flags; an invalid value exits through ``parser.error``."""
+    """The grid plus the training flags; a rejected value exits through ``parser.error``
+    naming its flag, ``flags[field]`` or else ``--<field>``."""
     try:
         return SweepConfig(
             **grid,
@@ -103,14 +110,16 @@ def _sweep_config(
             data_path=args.data,
             out_dir=args.out,
         )
-    except ValueError as exc:
-        parser.error(str(exc))
+    except SettingError as exc:
+        parser.error(f"argument {flags.get(exc.field, '--' + exc.field)}: {exc.reason}")
 
 
 def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     channel = ChannelKind(args.channel)
+    # no channels: a noise-free run would share the baseline's run id
+    flags = {**_FLAGS, "probabilities": "--prob", "seeds": "--seed"}
     config = _sweep_config(
-        parser, args, channels=(channel,), probabilities=(args.prob,), seeds=(args.seed,)
+        parser, args, flags, channels=(), probabilities=(args.prob,), seeds=(args.seed,)
     )
     record = execute_run(channel, args.prob, args.seed, **config.run_settings())
     os.makedirs(args.out, exist_ok=True)
@@ -125,6 +134,7 @@ def _cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     config = _sweep_config(
         parser,
         args,
+        _FLAGS,
         channels=tuple(ChannelKind(c) for c in args.channels),
         probabilities=tuple(args.probs),
         seeds=tuple(args.seeds),
@@ -157,13 +167,8 @@ def _cmd_summarize(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(parser, args)
-    if args.command == "sweep":
-        return _cmd_sweep(parser, args)
-    return _cmd_summarize(parser, args)
+    args = _build_parser().parse_args(argv)
+    return args.handler(args.parser, args)
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import NOISY_KINDS, ChannelKind
-from .circuit import AnsatzConfig
+from .circuit import DEFAULT_LAYERS, AnsatzConfig
 from .data import feature_stats, load_iris_binary, preprocess, split
 from .svg import emit_svg
 from .training import (
@@ -34,6 +34,7 @@ from .training import (
     DEFAULT_LEARNING_RATE,
     DEFAULT_MOMENTUM,
     DEFAULT_STEPS,
+    FINAL_WINDOW,
     RunRecord,
     StepRecord,
     train,
@@ -41,16 +42,22 @@ from .training import (
 
 DEFAULT_PROBABILITIES = tuple(round(0.1 * i, 1) for i in range(1, 11))
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
-DEFAULT_LAYERS = 5
 DEFAULT_SPLIT_RATIO = 0.75
 
 #: a configuration is trainable when the seed-mean of the final-window
 #: validation accuracy reaches this value
 TRAINABLE_THRESHOLD = 0.80
-FINAL_WINDOW = 10
 
 CSV_HEADER = "run_id,channel,prob,seed,step,cost,train_acc,val_acc"
 SUMMARY_HEADER = "channel,prob,seeds,mean_final_val_acc,trainable"
+
+
+class SettingError(ValueError):
+    """A rejected :class:`SweepConfig` value; ``field`` names the field that holds it."""
+
+    def __init__(self, field: str, reason: str) -> None:
+        super().__init__(f"{field}: {reason}")
+        self.field, self.reason = field, reason
 
 
 @dataclass(frozen=True)
@@ -65,26 +72,33 @@ class SweepConfig:
     n_layers: int = DEFAULT_LAYERS
     learning_rate: float = DEFAULT_LEARNING_RATE
     momentum: float = DEFAULT_MOMENTUM
-    split_ratio: float = DEFAULT_SPLIT_RATIO
     data_path: str | None = None
     out_dir: str = "results"
     workers: int | None = None
 
     def __post_init__(self) -> None:
         if not self.seeds:
-            raise ValueError("at least one seed is required")
+            raise SettingError("seeds", "at least one seed is required")
         for p in self.probabilities:
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"probability {p} outside [0, 1]")
+                raise SettingError("probabilities", f"{p} outside [0, 1]")
         for name in ("steps", "batch_size", "n_layers"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+                raise SettingError(name, f"must be at least 1, got {getattr(self, name)}")
         if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+            raise SettingError("learning_rate", f"must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+            raise SettingError("momentum", f"must lie in [0, 1), got {self.momentum}")
         if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
+            raise SettingError("workers", f"must be at least 1, got {self.workers}")
+        # a run id names a run's CSV and its results.csv rows: two runs under
+        # one id would overwrite each other's CSV yet count twice in the summary
+        ids = [run_id(*spec) for spec in self.run_specs()]
+        shared = [rid for i, rid in enumerate(ids) if rid in ids[:i]]
+        if shared:
+            keys = {"seeds": self.seeds, "probabilities": [f"{p:g}" for p in self.probabilities]}
+            field = next((f for f, k in keys.items() if len(set(k)) < len(k)), "channels")
+            raise SettingError(field, f"two runs would share run id {shared[0]}")
 
     def run_settings(self) -> dict:
         """Keyword arguments of :func:`execute_run` shared by every run of the sweep."""
@@ -94,7 +108,6 @@ class SweepConfig:
             n_layers=self.n_layers,
             learning_rate=self.learning_rate,
             momentum=self.momentum,
-            split_ratio=self.split_ratio,
             data_path=self.data_path,
         )
 
@@ -130,7 +143,6 @@ def execute_run(
     n_layers: int = DEFAULT_LAYERS,
     learning_rate: float = DEFAULT_LEARNING_RATE,
     momentum: float = DEFAULT_MOMENTUM,
-    split_ratio: float = DEFAULT_SPLIT_RATIO,
     data_path: str | None = None,
 ) -> RunRecord:
     """Load, split, preprocess, and train one configuration end to end.
@@ -139,7 +151,7 @@ def execute_run(
     RNG, so a (channel, probability, seed) triple pins the entire run.
     """
     dataset = load_iris_binary(data_path)
-    train_ds, val_ds = split(dataset, ratio=split_ratio, seed=seed)
+    train_ds, val_ds = split(dataset, ratio=DEFAULT_SPLIT_RATIO, seed=seed)
     stats = feature_stats(train_ds.features)
     config = AnsatzConfig(channel=channel, probability=probability, n_layers=n_layers)
     return train(
@@ -258,27 +270,11 @@ def group_by_cell(
     return sorted(groups.items(), key=lambda kv: (_KIND_ORDER[kv[0][0]], kv[0][1]))
 
 
-def summarize(
-    records: Sequence[RunRecord],
-    threshold: float = TRAINABLE_THRESHOLD,
-    window: int = FINAL_WINDOW,
-    expected: Sequence[tuple[ChannelKind, float]] | None = None,
-) -> list[CellSummary]:
-    """Aggregate runs into one trainability verdict per configuration.
-
-    With ``expected`` given, any listed (channel, probability) cell that
-    has no runs is reported as an error instead of being fabricated.
-    """
-    groups = group_by_cell(records)
-    if expected is not None:
-        present = {key for key, _ in groups}
-        missing = [key for key in expected if key not in present]
-        if missing:
-            names = ", ".join(f"{k.value} p={p:g}" for k, p in missing)
-            raise ValueError(f"missing sweep cells: {names}")
+def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
+    """Aggregate runs into one trainability verdict per configuration."""
     cells = []
-    for (channel, prob), group in groups:
-        accs = [record.final_val_accuracy(window) for record in group]
+    for (channel, prob), group in group_by_cell(records):
+        accs = [record.final_val_accuracy(FINAL_WINDOW) for record in group]
         mean_acc = float(np.mean(accs))
         cells.append(
             CellSummary(
@@ -286,7 +282,7 @@ def summarize(
                 probability=prob,
                 n_seeds=len(accs),
                 mean_final_val_acc=mean_acc,
-                trainable=mean_acc >= threshold,
+                trainable=mean_acc >= TRAINABLE_THRESHOLD,
             )
         )
     return cells

@@ -17,7 +17,8 @@ half-angle rotation, so the parameter-shift rule
     dh/dtheta_i = (h(theta_i + pi/2) - h(theta_i - pi/2)) / 2
 
 holds even with noise channels in the circuit (the channels carry no
-trainable parameters).
+trainable parameters).  The rule has one implementation, ``_shift_rule``,
+behind both ``parameter_shift_grad`` and ``cost_gradient``.
 
 Randomness (parameter initialization and batch sampling) comes from one
 ``numpy.random.Generator`` seeded per run; numpy's default PCG64 bit
@@ -49,6 +50,8 @@ DEFAULT_STEPS = 100
 DEFAULT_BATCH_SIZE = 5
 DEFAULT_LEARNING_RATE = 0.01
 DEFAULT_MOMENTUM = 0.9
+#: steps at the end of a run whose validation accuracies are averaged
+FINAL_WINDOW = 10
 
 
 def batch_cost(labels, outputs) -> float:
@@ -74,51 +77,42 @@ def model_output(features, params, config: AnsatzConfig) -> float:
     return float(ansatz_expectations(np.asarray(features, dtype=float)[None, :], params, config)[0])
 
 
-def _shifted_stack(params: np.ndarray) -> np.ndarray:
-    """Parameter variants for one gradient: base row, then +/- pi/2 per entry.
+def _shift_rule(features, params, config: AnsatzConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Outputs ``h`` (B,) and parameter-shift gradients ``dh`` (B, P) of a sample batch.
 
-    Row 0 is the unshifted tensor; rows 1 + 2i and 2 + 2i carry the
-    positive and negative shift of flat parameter i.
+    The one implementation of the shift rule.  All B x (2P + 1) variants
+    run as a single evaluator batch: per sample, the unshifted row, then
+    rows 1 + 2i and 2 + 2i with flat parameter i shifted by +pi/2 and -pi/2.
     """
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    params = np.asarray(params, dtype=float)
     n = params.size
-    flat = np.tile(params.reshape(-1), (2 * n + 1, 1))
+    variants = np.tile(params.reshape(-1), (2 * n + 1, 1))
     idx = np.arange(n)
-    flat[1 + 2 * idx, idx] += SHIFT
-    flat[2 + 2 * idx, idx] -= SHIFT
-    return flat.reshape((2 * n + 1,) + params.shape)
+    variants[1 + 2 * idx, idx] += SHIFT
+    variants[2 + 2 * idx, idx] -= SHIFT
+    n_samples = features.shape[0]
+    feats = np.repeat(features, 2 * n + 1, axis=0)
+    stack = np.tile(variants.reshape((2 * n + 1,) + params.shape), (n_samples, 1, 1, 1))
+    h = ansatz_expectations(feats, stack, config).reshape(n_samples, 2 * n + 1)
+    return h[:, 0], (h[:, 1::2] - h[:, 2::2]) / 2.0
 
 
 def parameter_shift_grad(features, params, config: AnsatzConfig) -> np.ndarray:
     """Exact gradient of the model output w.r.t. every ansatz parameter."""
-    params = np.asarray(params, dtype=float)
-    stack = _shifted_stack(params)
-    feats = np.broadcast_to(np.asarray(features, dtype=float), (stack.shape[0], 2))
-    h = ansatz_expectations(feats, stack, config)
-    return ((h[1::2] - h[2::2]) / 2.0).reshape(params.shape)
+    _, dh = _shift_rule(features, params, config)
+    return dh[0].reshape(np.shape(params))
 
 
 def cost_gradient(features, labels, params, config: AnsatzConfig) -> np.ndarray:
     """Gradient of the mean square loss over a batch.
 
     Chain rule through the loss: ``mean_b of -2 (y_b - h_b) dh_b``, with
-    ``dh`` from the parameter-shift rule.  All per-sample shifted
-    evaluations run as a single vectorized batch.
+    ``h`` and ``dh`` from one shift-rule evaluation of the whole batch.
     """
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = np.asarray(labels, dtype=float)
-    params = np.asarray(params, dtype=float)
-    n_samples = features.shape[0]
-    variants = _shifted_stack(params)  # (2P+1, L, 2, 3)
-    n_var = variants.shape[0]
-
-    feats = np.repeat(features, n_var, axis=0)
-    stack = np.tile(variants, (n_samples, 1, 1, 1))
-    h = ansatz_expectations(feats, stack, config).reshape(n_samples, n_var)
-
-    base = h[:, 0]
-    dh = (h[:, 1::2] - h[:, 2::2]) / 2.0  # (B, P)
-    grad_flat = np.mean(-2.0 * (labels - base)[:, None] * dh, axis=0)
-    return grad_flat.reshape(params.shape)
+    h, dh = _shift_rule(features, params, config)
+    residual = np.asarray(labels, dtype=float) - h
+    return np.mean(-2.0 * residual[:, None] * dh, axis=0).reshape(np.shape(params))
 
 
 @dataclass(frozen=True)
@@ -166,7 +160,7 @@ class RunRecord:
     seed: int
     steps: list[StepRecord] = field(default_factory=list)
 
-    def final_val_accuracy(self, window: int = 10) -> float:
+    def final_val_accuracy(self, window: int = FINAL_WINDOW) -> float:
         """Mean validation accuracy over the last ``window`` steps."""
         if not self.steps:
             raise ValueError("run has no recorded steps")

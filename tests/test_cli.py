@@ -59,12 +59,17 @@ class TestTrainingFlagValidation:
             ["run", "--channel", "none", "--layers", "0"],
             ["run", "--channel", "none", "--lr", "-1"],
             ["run", "--channel", "none", "--momentum", "1"],
+            ["run", "--channel", "bit-flip", "--prob", "1.5"],
             ["sweep", "--steps", "0"],
             ["sweep", "--batch", "0"],
             ["sweep", "--layers", "0"],
             ["sweep", "--lr", "0"],
             ["sweep", "--momentum", "-0.5"],
             ["sweep", "--workers", "0"],
+            ["sweep", "--probs", "0.5", "-0.1"],
+            ["sweep", "--channels", "bit-flip", "--probs", "0.5", "--seeds", "1", "1"],
+            ["sweep", "--channels", "bit-flip", "--probs", "0.1", "0.1000001"],
+            ["sweep", "--probs", "0.5", "--channels", "bit-flip", "bit-flip"],
         ],
     )
     def test_bad_value_exits_2_without_output(self, tmp_path, capsys, argv):
@@ -73,7 +78,11 @@ class TestTrainingFlagValidation:
             main(argv + ["--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"usage: noisyvqc {argv[0]}" in err
+        # the last flag of each case holds the rejected value
+        flag = [a for a in argv if a.startswith("--")][-1]
+        assert f"error: argument {flag}:" in err
 
 
 class TestSweepCommand:

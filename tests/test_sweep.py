@@ -7,6 +7,7 @@ from noisyvqc.channels import ChannelKind
 from noisyvqc.sweep import (
     CSV_HEADER,
     CellSummary,
+    SettingError,
     SweepConfig,
     execute_run,
     read_results_csv,
@@ -104,6 +105,21 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=field):
             SweepConfig(**{field: value})
 
+    @pytest.mark.parametrize(
+        "grid,field,rid",
+        [
+            (dict(seeds=(1, 1)), "seeds", "none_0_1"),
+            (dict(probabilities=(0.1, 0.1000001)), "probabilities", "bit-flip_0.1_1"),
+            (dict(channels=(ChannelKind.BIT_FLIP,) * 2), "channels", "bit-flip_0.5_1"),
+            (dict(channels=(ChannelKind.NONE,), probabilities=(0.0,)), "channels", "none_0_1"),
+        ],
+    )
+    def test_rejects_shared_run_id(self, grid, field, rid):
+        settings = dict(channels=(ChannelKind.BIT_FLIP,), probabilities=(0.5,), seeds=(1,))
+        with pytest.raises(SettingError, match=rid) as exc:
+            SweepConfig(**{**settings, **grid})
+        assert exc.value.field == field
+
 
 class TestCsvRoundTrip:
     def test_results_round_trip(self, tmp_path):
@@ -158,11 +174,6 @@ class TestSummarize:
     def test_window_uses_final_steps(self):
         record = synthetic_record(ChannelKind.PHASE_FLIP, 0.5, 1, [0.0] * 90 + [1.0] * 10)
         assert summarize([record])[0].mean_final_val_acc == pytest.approx(1.0)
-
-    def test_missing_expected_cells_reported(self):
-        records = [synthetic_record(ChannelKind.BIT_FLIP, 0.2, 1, [1.0] * 10)]
-        with pytest.raises(ValueError, match="bit-flip p=0.4"):
-            summarize(records, expected=[(ChannelKind.BIT_FLIP, 0.4)])
 
     def test_pure_function_of_results_csv(self, tmp_path):
         records = run_sweep(tiny_config(tmp_path))

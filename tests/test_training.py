@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from noisyvqc.channels import ChannelKind
 from noisyvqc.circuit import AnsatzConfig, param_shape
@@ -120,6 +122,28 @@ class TestCostGradient:
             cost_gradient(features[i : i + 1], labels[i : i + 1], params, cfg) for i in range(2)
         ]
         np.testing.assert_allclose(combined, np.mean(singles, axis=0), atol=1e-14)
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(
+        kind=st.sampled_from(list(ChannelKind)),
+        p=st.floats(0.0, 1.0),
+        n_layers=st.integers(1, 3),
+        n_samples=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_chain_rule_over_per_sample_shift_rule(self, kind, p, n_layers, n_samples, data):
+        cfg = AnsatzConfig(channel=kind, probability=p, n_layers=n_layers)
+        angles = st.floats(-10.0, 10.0)
+        features = data.draw(arrays(float, (n_samples, 2), elements=angles), label="features")
+        params = data.draw(arrays(float, param_shape(cfg), elements=angles), label="params")
+        labels = data.draw(arrays(int, n_samples, elements=st.sampled_from([-1, 1])), label="labels")
+        per_sample = [
+            -2.0 * (y - model_output(x, params, cfg)) * parameter_shift_grad(x, params, cfg)
+            for x, y in zip(features, labels)
+        ]
+        np.testing.assert_allclose(
+            cost_gradient(features, labels, params, cfg), np.mean(per_sample, axis=0), atol=1e-12
+        )
 
     def test_matches_finite_differences_of_batch_cost(self, rng):
         from noisyvqc.evaluator import ansatz_expectations
