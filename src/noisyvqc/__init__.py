@@ -21,9 +21,10 @@ from .evaluator import ansatz_expectations
 from .simulator import ansatz_kraus_sets, run
 from .sweep import CellSummary, SweepConfig, execute_run, run_sweep, summarize
 from .training import (
-    OptimizerState,
     RunRecord,
+    SettingError,
     StepRecord,
+    TrainSettings,
     accuracy,
     batch_cost,
     cost_gradient,

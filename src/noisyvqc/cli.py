@@ -35,12 +35,7 @@ from .sweep import (
     write_summary_csv,
     write_sweep_outputs,
 )
-from .training import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_LEARNING_RATE,
-    DEFAULT_MOMENTUM,
-    DEFAULT_STEPS,
-)
+from .training import TrainSettings
 
 _CHANNEL_VALUES = [k.value for k in ChannelKind]
 _NOISY_VALUES = [k.value for k in NOISY_KINDS]
@@ -49,11 +44,11 @@ _FLAGS = {"batch_size": "--batch", "n_layers": "--layers", "learning_rate": "--l
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--steps", type=int, default=DEFAULT_STEPS, help="optimizer steps per run")
-    parser.add_argument("--batch", type=int, default=DEFAULT_BATCH_SIZE, help="samples per step")
+    parser.add_argument("--steps", type=int, default=TrainSettings.steps, help="optimizer steps per run")
+    parser.add_argument("--batch", type=int, default=TrainSettings.batch_size, help="samples per step")
     parser.add_argument("--layers", type=int, default=DEFAULT_LAYERS, help="variational layers")
-    parser.add_argument("--lr", type=float, default=DEFAULT_LEARNING_RATE, help="learning rate")
-    parser.add_argument("--momentum", type=float, default=DEFAULT_MOMENTUM, help="momentum coefficient")
+    parser.add_argument("--lr", type=float, default=TrainSettings.learning_rate, help="learning rate")
+    parser.add_argument("--momentum", type=float, default=TrainSettings.momentum, help="momentum coefficient")
     parser.add_argument("--data", metavar="PATH", default=None, help="Iris CSV path (default: embedded copy)")
     parser.add_argument("--out", metavar="DIR", default="results", help="output directory")
 
@@ -100,13 +95,13 @@ def _sweep_config(
     """The grid plus the training flags; a rejected value exits through ``parser.error``
     naming its flag, ``flags[field]`` or else ``--<field>``."""
     try:
+        training = TrainSettings(
+            steps=args.steps, batch_size=args.batch, learning_rate=args.lr, momentum=args.momentum
+        )
         return SweepConfig(
             **grid,
-            steps=args.steps,
-            batch_size=args.batch,
+            training=training,
             n_layers=args.layers,
-            learning_rate=args.lr,
-            momentum=args.momentum,
             data_path=args.data,
             out_dir=args.out,
         )

@@ -23,6 +23,9 @@ FEATURE_COLUMNS = (2, 3)  # petal_length, petal_width
 #: angle range of the encoded features
 ANGLE_MAX = math.pi
 
+#: fraction of each class on the training side of the split
+TRAIN_FRACTION = 0.75
+
 _SPECIES_LABELS = {"setosa": -1, "versicolor": 1, "virginica": None}
 
 
@@ -123,21 +126,19 @@ def preprocess(features: np.ndarray, stats: PreprocessStats) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0) * ANGLE_MAX
 
 
-def split(dataset: Dataset, ratio: float = 0.75, seed: int = 0) -> tuple[Dataset, Dataset]:
+def split(dataset: Dataset, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Stratified train/validation split, deterministic for a given seed.
 
-    Each class contributes ``ceil(ratio * count)`` samples to the
+    Each class contributes ``ceil(TRAIN_FRACTION * count)`` samples to the
     training side.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ValueError(f"ratio must lie in (0, 1), got {ratio}")
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     val_idx: list[int] = []
     for label in (-1, 1):
         members = np.flatnonzero(dataset.labels == label)
         perm = rng.permutation(members)
-        n_train = math.ceil(ratio * len(members))
+        n_train = math.ceil(TRAIN_FRACTION * len(members))
         train_idx.extend(perm[:n_train])
         val_idx.extend(perm[n_train:])
     if not train_idx or not val_idx:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,20 +29,10 @@ from .channels import NOISY_KINDS, ChannelKind
 from .circuit import DEFAULT_LAYERS, AnsatzConfig
 from .data import feature_stats, load_iris_binary, preprocess, split
 from .svg import emit_svg
-from .training import (
-    DEFAULT_BATCH_SIZE,
-    DEFAULT_LEARNING_RATE,
-    DEFAULT_MOMENTUM,
-    DEFAULT_STEPS,
-    FINAL_WINDOW,
-    RunRecord,
-    StepRecord,
-    train,
-)
+from .training import RunRecord, SettingError, StepRecord, TrainSettings, train
 
 DEFAULT_PROBABILITIES = tuple(round(0.1 * i, 1) for i in range(1, 11))
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
-DEFAULT_SPLIT_RATIO = 0.75
 
 #: a configuration is trainable when the seed-mean of the final-window
 #: validation accuracy reaches this value
@@ -52,14 +42,6 @@ CSV_HEADER = "run_id,channel,prob,seed,step,cost,train_acc,val_acc"
 SUMMARY_HEADER = "channel,prob,seeds,mean_final_val_acc,trainable"
 
 
-class SettingError(ValueError):
-    """A rejected :class:`SweepConfig` value; ``field`` names the field that holds it."""
-
-    def __init__(self, field: str, reason: str) -> None:
-        super().__init__(f"{field}: {reason}")
-        self.field, self.reason = field, reason
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Grid and training settings of one sweep invocation."""
@@ -67,11 +49,8 @@ class SweepConfig:
     channels: tuple[ChannelKind, ...] = NOISY_KINDS
     probabilities: tuple[float, ...] = DEFAULT_PROBABILITIES
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    steps: int = DEFAULT_STEPS
-    batch_size: int = DEFAULT_BATCH_SIZE
+    training: TrainSettings = TrainSettings()
     n_layers: int = DEFAULT_LAYERS
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    momentum: float = DEFAULT_MOMENTUM
     data_path: str | None = None
     out_dir: str = "results"
     workers: int | None = None
@@ -82,13 +61,8 @@ class SweepConfig:
         for p in self.probabilities:
             if not 0.0 <= p <= 1.0:
                 raise SettingError("probabilities", f"{p} outside [0, 1]")
-        for name in ("steps", "batch_size", "n_layers"):
-            if getattr(self, name) < 1:
-                raise SettingError(name, f"must be at least 1, got {getattr(self, name)}")
-        if not self.learning_rate > 0:
-            raise SettingError("learning_rate", f"must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise SettingError("momentum", f"must lie in [0, 1), got {self.momentum}")
+        if self.n_layers < 1:
+            raise SettingError("n_layers", f"must be at least 1, got {self.n_layers}")
         if self.workers is not None and self.workers < 1:
             raise SettingError("workers", f"must be at least 1, got {self.workers}")
         # a run id names a run's CSV and its results.csv rows: two runs under
@@ -99,17 +73,16 @@ class SweepConfig:
             keys = {"seeds": self.seeds, "probabilities": [f"{p:g}" for p in self.probabilities]}
             field = next((f for f, k in keys.items() if len(set(k)) < len(k)), "channels")
             raise SettingError(field, f"two runs would share run id {shared[0]}")
+        # the CSVs print 6 decimals, and summarize groups runs by the value read back
+        written = [float(f"{p:.6f}") for p in self.probabilities]
+        for i, w in enumerate(written):
+            if w in written[:i]:
+                first, p = self.probabilities[written.index(w)], self.probabilities[i]
+                raise SettingError("probabilities", f"{first:g} and {p:g} are equal at 6 decimals")
 
     def run_settings(self) -> dict:
         """Keyword arguments of :func:`execute_run` shared by every run of the sweep."""
-        return dict(
-            steps=self.steps,
-            batch_size=self.batch_size,
-            n_layers=self.n_layers,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-            data_path=self.data_path,
-        )
+        return dict(asdict(self.training), n_layers=self.n_layers, data_path=self.data_path)
 
     def run_specs(self) -> list[tuple[ChannelKind, float, int]]:
         """All runs of the sweep: baselines first, then the noise grid."""
@@ -138,32 +111,29 @@ def execute_run(
     channel: ChannelKind,
     probability: float,
     seed: int,
-    steps: int = DEFAULT_STEPS,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     n_layers: int = DEFAULT_LAYERS,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
-    momentum: float = DEFAULT_MOMENTUM,
     data_path: str | None = None,
+    **training,
 ) -> RunRecord:
     """Load, split, preprocess, and train one configuration end to end.
 
-    The run seed drives the stratified split as well as the training
-    RNG, so a (channel, probability, seed) triple pins the entire run.
+    ``training`` holds :class:`TrainSettings` fields; the settings are
+    checked before any data is read.  The run seed drives the stratified
+    split as well as the training RNG, so a (channel, probability, seed)
+    triple pins the entire run.
     """
-    dataset = load_iris_binary(data_path)
-    train_ds, val_ds = split(dataset, ratio=DEFAULT_SPLIT_RATIO, seed=seed)
-    stats = feature_stats(train_ds.features)
+    settings = TrainSettings(**training)
     config = AnsatzConfig(channel=channel, probability=probability, n_layers=n_layers)
+    dataset = load_iris_binary(data_path)
+    train_ds, val_ds = split(dataset, seed=seed)
+    stats = feature_stats(train_ds.features)
     return train(
         preprocess(train_ds.features, stats),
         train_ds.labels,
         preprocess(val_ds.features, stats),
         val_ds.labels,
         config,
-        steps=steps,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
-        momentum=momentum,
+        settings,
         seed=seed,
     )
 
@@ -274,7 +244,7 @@ def summarize(records: Sequence[RunRecord]) -> list[CellSummary]:
     """Aggregate runs into one trainability verdict per configuration."""
     cells = []
     for (channel, prob), group in group_by_cell(records):
-        accs = [record.final_val_accuracy(FINAL_WINDOW) for record in group]
+        accs = [record.final_val_accuracy() for record in group]
         mean_acc = float(np.mean(accs))
         cells.append(
             CellSummary(

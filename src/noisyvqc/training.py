@@ -9,7 +9,8 @@ replacement, using the Nesterov momentum update
     v' = momentum * v + lr * grad(params - momentum * v)
     params' = params - v'
 
-for 100 steps by default.
+for 100 steps by default.  ``TrainSettings`` is the one place for the
+defaults and checks of these four settings; every entry point takes it.
 
 Gradients of the expectation are exact: every trainable gate is a
 half-angle rotation, so the parameter-shift rule
@@ -28,7 +29,7 @@ bit-reproducible from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -46,10 +47,6 @@ from .evaluator import ansatz_expectations
 INIT_STD = 1e-7
 SHIFT = np.pi / 2
 
-DEFAULT_STEPS = 100
-DEFAULT_BATCH_SIZE = 5
-DEFAULT_LEARNING_RATE = 0.01
-DEFAULT_MOMENTUM = 0.9
 #: steps at the end of a run whose validation accuracies are averaged
 FINAL_WINDOW = 10
 
@@ -115,30 +112,43 @@ def cost_gradient(features, labels, params, config: AnsatzConfig) -> np.ndarray:
     return np.mean(-2.0 * residual[:, None] * dh, axis=0).reshape(np.shape(params))
 
 
-@dataclass(frozen=True)
-class OptimizerState:
-    """Velocity buffer and hyperparameters of the Nesterov optimizer."""
+class SettingError(ValueError):
+    """A rejected setting; ``field`` names the field that holds it."""
 
-    velocity: np.ndarray
-    learning_rate: float = DEFAULT_LEARNING_RATE
-    momentum: float = DEFAULT_MOMENTUM
+    def __init__(self, field: str, reason: str) -> None:
+        super().__init__(f"{field}: {reason}")
+        self.field, self.reason = field, reason
+
+
+@dataclass(frozen=True)
+class TrainSettings:
+    """Optimizer settings of one run, each defaulted and checked here only."""
+
+    steps: int = 100
+    batch_size: int = 5
+    learning_rate: float = 0.01
+    momentum: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        for name in ("steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise SettingError(name, f"must be at least 1, got {getattr(self, name)}")
+        if not self.learning_rate > 0:
+            raise SettingError("learning_rate", f"must be positive, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0, 1)")
+            raise SettingError("momentum", f"must lie in [0, 1), got {self.momentum}")
 
 
 def nesterov_step(
     params: np.ndarray,
-    state: OptimizerState,
+    velocity: np.ndarray,
     grad_fn: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, OptimizerState]:
+    settings: TrainSettings,
+) -> tuple[np.ndarray, np.ndarray]:
     """One Nesterov update: gradient at the momentum lookahead point."""
-    lookahead = params - state.momentum * state.velocity
-    velocity = state.momentum * state.velocity + state.learning_rate * grad_fn(lookahead)
-    return params - velocity, replace(state, velocity=velocity)
+    lookahead = params - settings.momentum * velocity
+    velocity = settings.momentum * velocity + settings.learning_rate * grad_fn(lookahead)
+    return params - velocity, velocity
 
 
 @dataclass(frozen=True)
@@ -160,12 +170,11 @@ class RunRecord:
     seed: int
     steps: list[StepRecord] = field(default_factory=list)
 
-    def final_val_accuracy(self, window: int = FINAL_WINDOW) -> float:
-        """Mean validation accuracy over the last ``window`` steps."""
+    def final_val_accuracy(self) -> float:
+        """Mean validation accuracy over the last ``FINAL_WINDOW`` steps."""
         if not self.steps:
             raise ValueError("run has no recorded steps")
-        tail = self.steps[-window:]
-        return float(np.mean([s.val_accuracy for s in tail]))
+        return float(np.mean([s.val_accuracy for s in self.steps[-FINAL_WINDOW:]]))
 
 
 def train(
@@ -174,15 +183,12 @@ def train(
     val_features,
     val_labels,
     config: AnsatzConfig,
-    steps: int = DEFAULT_STEPS,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    learning_rate: float = DEFAULT_LEARNING_RATE,
-    momentum: float = DEFAULT_MOMENTUM,
+    settings: TrainSettings = TrainSettings(),
     seed: int = 0,
 ) -> RunRecord:
     """Train the classifier and record per-step cost and accuracies.
 
-    Each step samples ``batch_size`` training points uniformly with
+    Each step samples ``settings.batch_size`` training points uniformly with
     replacement, takes one Nesterov step on the batch cost, then records
     the batch cost and the full-split train/validation accuracies at the
     updated parameters.  Parameters start from i.i.d. normal(0, INIT_STD)
@@ -199,18 +205,16 @@ def train(
 
     rng = np.random.default_rng(seed)
     params = rng.normal(0.0, INIT_STD, size=param_shape(config))
-    state = OptimizerState(
-        velocity=np.zeros_like(params), learning_rate=learning_rate, momentum=momentum
-    )
+    velocity = np.zeros_like(params)
 
     n_train = len(train_labels)
     eval_features = np.vstack([train_features, val_features])
     record = RunRecord(channel=config.channel, probability=config.probability, seed=seed)
-    for step in range(1, steps + 1):
-        idx = rng.integers(0, n_train, size=batch_size)
+    for step in range(1, settings.steps + 1):
+        idx = rng.integers(0, n_train, size=settings.batch_size)
         batch_x, batch_y = train_features[idx], train_labels[idx]
-        params, state = nesterov_step(
-            params, state, lambda p: cost_gradient(batch_x, batch_y, p, config)
+        params, velocity = nesterov_step(
+            params, velocity, lambda p: cost_gradient(batch_x, batch_y, p, config), settings
         )
         outputs = ansatz_expectations(eval_features, params, config)
         train_out, val_out = outputs[:n_train], outputs[n_train:]

@@ -70,6 +70,11 @@ class TestTrainingFlagValidation:
             ["sweep", "--channels", "bit-flip", "--probs", "0.5", "--seeds", "1", "1"],
             ["sweep", "--channels", "bit-flip", "--probs", "0.1", "0.1000001"],
             ["sweep", "--probs", "0.5", "--channels", "bit-flip", "bit-flip"],
+            # distinct run ids, but one probability in the 6-decimal CSVs
+            ["sweep", "--channels", "bit-flip", "--seeds", "1", "--steps", "2", "--batch", "2",
+             "--layers", "1", "--probs", "0", "-0"],
+            ["sweep", "--channels", "bit-flip", "--seeds", "1", "--steps", "2", "--batch", "2",
+             "--layers", "1", "--probs", "1e-7", "2e-7"],
         ],
     )
     def test_bad_value_exits_2_without_output(self, tmp_path, capsys, argv):

@@ -111,7 +111,7 @@ class TestPreprocess:
 
 class TestSplit:
     def test_default_iris_split_counts(self):
-        train_ds, val_ds = split(load_iris_binary(), ratio=0.75, seed=0)
+        train_ds, val_ds = split(load_iris_binary(), seed=0)
         assert len(train_ds) == 76
         assert len(val_ds) == 24
         assert int(np.sum(train_ds.labels == -1)) == 38
@@ -141,27 +141,25 @@ class TestSplit:
         assert original == recombined
 
     def test_small_balanced_split(self):
+        # 4 samples per class: ceil(0.75 * 4) = 3 train, 1 validation
         ds = Dataset(
-            features=np.array([[0.0, 0], [1, 0], [2, 0], [3, 0]]),
-            labels=np.array([-1, -1, 1, 1]),
+            features=np.arange(16.0).reshape(8, 2),
+            labels=np.array([-1, -1, -1, -1, 1, 1, 1, 1]),
         )
-        train_ds, val_ds = split(ds, ratio=0.5, seed=1)
-        assert len(train_ds) == 2 and len(val_ds) == 2
+        train_ds, val_ds = split(ds, seed=1)
+        assert len(train_ds) == 6 and len(val_ds) == 2
         assert set(train_ds.labels) == {-1, 1}
         assert set(val_ds.labels) == {-1, 1}
 
     def test_class_proportions_within_one(self):
         ds = load_iris_binary()
-        train_ds, val_ds = split(ds, ratio=0.6, seed=3)
+        train_ds, val_ds = split(ds, seed=3)
         for side in (train_ds, val_ds):
             counts = [int(np.sum(side.labels == label)) for label in (-1, 1)]
             assert abs(counts[0] - counts[1]) <= 1
 
-    def test_invalid_ratio(self):
-        with pytest.raises(ValueError):
-            split(load_iris_binary(), ratio=1.0)
-
     def test_empty_side_rejected(self):
+        # one sample per class: ceil(0.75 * 1) = 1 leaves no validation sample
         ds = Dataset(features=np.array([[0.0, 0], [1, 0]]), labels=np.array([-1, 1]))
         with pytest.raises(ValueError, match="empty"):
-            split(ds, ratio=0.9, seed=0)
+            split(ds, seed=0)

@@ -1,4 +1,5 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,9 +20,10 @@ from noisyvqc.sweep import (
     write_summary_csv,
     write_sweep_outputs,
 )
-from noisyvqc.training import RunRecord, StepRecord
+from noisyvqc.training import RunRecord, StepRecord, TrainSettings
 
 TINY = dict(steps=4, batch_size=3, n_layers=1)
+TRAINING_FIELDS = {f.name for f in fields(TrainSettings)}
 
 
 def tiny_config(out_dir, workers=1, seeds=(1, 2)):
@@ -31,7 +33,8 @@ def tiny_config(out_dir, workers=1, seeds=(1, 2)):
         seeds=seeds,
         out_dir=str(out_dir),
         workers=workers,
-        **TINY,
+        training=TrainSettings(steps=4, batch_size=3),
+        n_layers=1,
     )
 
 
@@ -62,6 +65,15 @@ class TestExecuteRun:
         a = execute_run(ChannelKind.BIT_FLIP, 0.4, seed=7, **TINY)
         b = execute_run(ChannelKind.BIT_FLIP, 0.4, seed=7, **TINY)
         assert a.steps == b.steps
+
+    @pytest.mark.parametrize(
+        "field,value", [("batch_size", 0), ("steps", 0), ("learning_rate", float("nan"))]
+    )
+    def test_rejects_bad_training_setting_before_reading_data(self, tmp_path, field, value):
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SettingError, match=field) as exc:
+            execute_run(ChannelKind.NONE, 0.0, 1, data_path=missing, **{field: value})
+        assert exc.value.field == field
 
 
 class TestRunSweep:
@@ -102,8 +114,10 @@ class TestRunSweep:
         ],
     )
     def test_rejects_bad_training_setting(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SweepConfig(**{field: value})
+        owner = TrainSettings if field in TRAINING_FIELDS else SweepConfig
+        with pytest.raises(SettingError, match=field) as exc:
+            owner(**{field: value})
+        assert exc.value.field == field
 
     @pytest.mark.parametrize(
         "grid,field,rid",
@@ -119,6 +133,17 @@ class TestRunSweep:
         with pytest.raises(SettingError, match=rid) as exc:
             SweepConfig(**{**settings, **grid})
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("probs", [(0.0, -0.0), (1e-7, 2e-7), (0.01, 0.0100001)])
+    def test_rejects_probabilities_equal_in_csv(self, probs):
+        # run ids differ, but results.csv writes both as one 6-decimal value
+        with pytest.raises(SettingError, match="equal at 6 decimals") as exc:
+            SweepConfig(channels=(ChannelKind.BIT_FLIP,), probabilities=probs, seeds=(1,))
+        assert exc.value.field == "probabilities"
+
+    def test_distinct_csv_probabilities_accepted(self):
+        config = SweepConfig(probabilities=(0.0, 1e-6, 0.5, 1.0), seeds=(1,))
+        assert len(config.run_specs()) == 1 + 5 * 4
 
 
 class TestCsvRoundTrip:

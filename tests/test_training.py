@@ -10,9 +10,10 @@ from noisyvqc.circuit import AnsatzConfig, param_shape
 from noisyvqc.linalg import PAULI_X
 from noisyvqc.simulator import on_qubit, rotation, run
 from noisyvqc.training import (
-    OptimizerState,
     RunRecord,
+    SettingError,
     StepRecord,
+    TrainSettings,
     accuracy,
     batch_cost,
     cost_gradient,
@@ -170,42 +171,43 @@ class TestCostGradient:
 class TestNesterovStep:
     def test_zero_momentum_is_vanilla_descent(self):
         params = np.array([1.0, -2.0])
-        state = OptimizerState(velocity=np.zeros(2), learning_rate=0.1, momentum=0.0)
-        new_params, _ = nesterov_step(params, state, lambda p: p)
+        settings = TrainSettings(learning_rate=0.1, momentum=0.0)
+        new_params, _ = nesterov_step(params, np.zeros(2), lambda p: p, settings)
         np.testing.assert_allclose(new_params, params - 0.1 * params)
 
     def test_zero_gradient_keeps_params(self):
         params = np.array([0.5])
-        state = OptimizerState(velocity=np.zeros(1))
-        new_params, new_state = nesterov_step(params, state, lambda p: np.zeros(1))
+        new_params, velocity = nesterov_step(
+            params, np.zeros(1), lambda p: np.zeros(1), TrainSettings()
+        )
         np.testing.assert_array_equal(new_params, params)
-        np.testing.assert_array_equal(new_state.velocity, np.zeros(1))
+        np.testing.assert_array_equal(velocity, np.zeros(1))
 
     def test_quadratic_bowl_first_step(self):
         # f(x) = x^2 from x0 = 1: velocity starts at 0, so the lookahead is
         # x0 and x1 = 1 - 0.01 * 2 = 0.98
         params = np.array([1.0])
-        state = OptimizerState(velocity=np.zeros(1), learning_rate=0.01, momentum=0.9)
-        new_params, _ = nesterov_step(params, state, lambda p: 2 * p)
+        settings = TrainSettings(learning_rate=0.01, momentum=0.9)
+        new_params, _ = nesterov_step(params, np.zeros(1), lambda p: 2 * p, settings)
         assert new_params[0] == pytest.approx(0.98)
 
     def test_gradient_evaluated_at_lookahead(self):
         seen = []
         params = np.array([1.0])
-        state = OptimizerState(velocity=np.array([0.5]), learning_rate=0.01, momentum=0.9)
+        settings = TrainSettings(learning_rate=0.01, momentum=0.9)
 
         def grad_fn(p):
             seen.append(p.copy())
             return np.zeros(1)
 
-        nesterov_step(params, state, grad_fn)
+        nesterov_step(params, np.array([0.5]), grad_fn, settings)
         np.testing.assert_allclose(seen[0], [1.0 - 0.9 * 0.5])
 
     def test_hyperparameter_validation(self):
-        with pytest.raises(ValueError):
-            OptimizerState(velocity=np.zeros(1), learning_rate=0.0)
-        with pytest.raises(ValueError):
-            OptimizerState(velocity=np.zeros(1), momentum=1.0)
+        with pytest.raises(SettingError, match="learning_rate"):
+            TrainSettings(learning_rate=0.0)
+        with pytest.raises(SettingError, match="momentum"):
+            TrainSettings(momentum=1.0)
 
 
 class TestTrain:
@@ -214,23 +216,26 @@ class TestTrain:
         train_y = np.where(train_x[:, 0] > math.pi / 2, 1, -1)
         return train_x, train_y, train_x[:4], train_y[:4]
 
-    def test_zero_steps_returns_empty_record(self, rng):
-        tx, ty, vx, vy = self._tiny_splits(rng)
-        record = train(tx, ty, vx, vy, AnsatzConfig(n_layers=2), steps=0, seed=3)
-        assert record.steps == []
-        with pytest.raises(ValueError):
+    def test_zero_steps_rejected(self):
+        with pytest.raises(SettingError, match="steps") as exc:
+            TrainSettings(steps=0)
+        assert exc.value.field == "steps"
+
+    def test_empty_record_has_no_final_accuracy(self):
+        record = RunRecord(channel=ChannelKind.NONE, probability=0.0, seed=0)
+        with pytest.raises(ValueError, match="no recorded steps"):
             record.final_val_accuracy()
 
     def test_reproducible_bit_for_bit(self, rng):
         tx, ty, vx, vy = self._tiny_splits(rng)
         cfg = AnsatzConfig(channel=ChannelKind.BIT_FLIP, probability=0.2, n_layers=2)
-        first = train(tx, ty, vx, vy, cfg, steps=6, seed=11)
-        second = train(tx, ty, vx, vy, cfg, steps=6, seed=11)
+        first = train(tx, ty, vx, vy, cfg, TrainSettings(steps=6), seed=11)
+        second = train(tx, ty, vx, vy, cfg, TrainSettings(steps=6), seed=11)
         assert first.steps == second.steps
 
     def test_records_metrics_in_range(self, rng):
         tx, ty, vx, vy = self._tiny_splits(rng)
-        record = train(tx, ty, vx, vy, AnsatzConfig(n_layers=2), steps=12, seed=5)
+        record = train(tx, ty, vx, vy, AnsatzConfig(n_layers=2), TrainSettings(steps=12), seed=5)
         assert len(record.steps) == 12
         assert [s.step for s in record.steps] == list(range(1, 13))
         for s in record.steps:
@@ -241,22 +246,27 @@ class TestTrain:
     def test_empty_train_split_rejected(self):
         with pytest.raises(ValueError):
             train(np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), np.array([1]),
-                  AnsatzConfig(n_layers=1), steps=1)
+                  AnsatzConfig(n_layers=1), TrainSettings(steps=1))
 
     def test_config_echoed(self, rng):
         tx, ty, vx, vy = self._tiny_splits(rng)
         cfg = AnsatzConfig(channel=ChannelKind.PHASE_FLIP, probability=0.7, n_layers=2)
-        record = train(tx, ty, vx, vy, cfg, steps=1, seed=9)
+        record = train(tx, ty, vx, vy, cfg, TrainSettings(steps=1), seed=9)
         assert record.channel is ChannelKind.PHASE_FLIP
         assert record.probability == 0.7
         assert record.seed == 9
 
     def test_final_val_accuracy_window(self):
-        record = RunRecord(channel=ChannelKind.NONE, probability=0.0, seed=0)
-        for i, acc in enumerate([0.0] * 5 + [1.0] * 5, start=1):
-            record.steps.append(StepRecord(step=i, cost=0.0, train_accuracy=acc, val_accuracy=acc))
-        assert record.final_val_accuracy(window=5) == 1.0
-        assert record.final_val_accuracy(window=10) == 0.5
+        def final(val_accs):
+            record = RunRecord(channel=ChannelKind.NONE, probability=0.0, seed=0)
+            for i, acc in enumerate(val_accs, start=1):
+                record.steps.append(StepRecord(i, 0.0, acc, acc))
+            return record.final_val_accuracy()
+
+        # the mean covers exactly the last 10 steps, or every step of a shorter run
+        assert final([0.0] + [1.0] * 10) == 1.0
+        assert final([0.0] * 5 + [1.0] * 5) == 0.5
+        assert final([0.0, 1.0]) == 0.5
 
 
 class TestDepolarizingStaysNearChance:
