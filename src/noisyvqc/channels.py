@@ -19,6 +19,9 @@ and every constructed channel satisfies the completeness relation
 Kraus operators that degenerate to the zero matrix (at p = 0 or p = 1)
 are kept rather than pruned; the uniform structure costs nothing at
 dimension 2.
+
+``SettingError``, the package's error for a rejected setting, lives here,
+in the lowest module that checks one: ``check_probability``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,23 @@ NOISY_KINDS = (
 )
 
 
+class SettingError(ValueError):
+    """A rejected setting; ``field`` names the field that holds it."""
+
+    def __init__(self, field: str, reason: str) -> None:
+        super().__init__(f"{field}: {reason}")
+        self.field, self.reason = field, reason
+
+
+def check_probability(probability: float, field: str = "probability") -> float:
+    """``probability`` as a float, or :class:`SettingError` under ``field`` if
+    it lies outside [0, 1]; the one copy of this rule."""
+    p = float(probability)
+    if not 0.0 <= p <= 1.0:
+        raise SettingError(field, f"{probability} outside [0, 1]")
+    return p
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """One noise model at one strength, realized as 2x2 Kraus operators."""
@@ -63,9 +83,7 @@ class KrausChannel:
 
 def build_channel(kind: ChannelKind, probability: float) -> KrausChannel:
     """Construct the Kraus operators for ``kind`` at the given strength."""
-    p = float(probability)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    p = check_probability(probability)
     if kind is ChannelKind.NONE:
         ops = (I2.copy(),)
     elif kind is ChannelKind.PHASE_FLIP:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelKind
+from .channels import ChannelKind, SettingError, check_probability
 
 N_QUBITS = 2
 #: trainable angles per qubit per layer (the three Rot Euler angles)
@@ -48,17 +48,20 @@ def cnot_matrix(control: int = 0, target: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AnsatzConfig:
-    """Shape and noise configuration of the classifier ansatz."""
+    """Shape and noise configuration of the classifier ansatz.
+
+    The one place that checks the layer count; a rejected value raises
+    :class:`SettingError`.
+    """
 
     channel: ChannelKind = ChannelKind.NONE
     probability: float = 0.0
     n_layers: int = DEFAULT_LAYERS
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must lie in [0, 1], got {self.probability}")
+        check_probability(self.probability)
         if self.n_layers < 1:
-            raise ValueError(f"n_layers must be positive, got {self.n_layers}")
+            raise SettingError("n_layers", f"must be at least 1, got {self.n_layers}")
 
 
 def param_shape(config: AnsatzConfig) -> tuple[int, int, int]:

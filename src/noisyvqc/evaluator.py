@@ -10,10 +10,19 @@ instructions ahead of time:
 * the two encoding RX gates (and likewise the two Rot gates of each
   layer) act on different qubits, so their product is a single
   Kronecker factor applied as one batched conjugation;
+* rows are grouped by the parameter tensor they share (all rows of a
+  readout, and the rows of one shift variant in a gradient), so a
+  layer builds one Rot gate per tensor and conjugates all of that
+  tensor's states with one matrix product on each side, the states
+  laid out as (V, 4, k, 4) for V tensors of k rows each;
 * the parameter-free remainder of a layer -- noise on both qubits, the
-  CNOT, noise on both qubits again -- is precomputed as one 16x16
-  superoperator acting on row-major vectorized states, applied as a
-  single matrix product per layer.
+  CNOT, noise on both qubits again -- is one 16x16 superoperator acting
+  on row-major vectorized states, built once per ``AnsatzConfig`` and
+  applied as a single matrix product per layer.
+
+Grouping changes the shapes of the matrix products, never the
+arithmetic of an output element, so a readout keeps the bits of one
+conjugation per row; ``ansatz_expectations`` says why they must hold.
 
 This module is the package's only gate library: a single gate is a
 batch of one, e.g. ``rot_matrices(angles[None])[0]``.  The result is
@@ -23,6 +32,8 @@ together at 1e-12.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -80,30 +91,45 @@ def kraus_superop(ops: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+@functools.lru_cache
 def static_layer_superop(config: AnsatzConfig) -> np.ndarray:
-    """Superoperator of one layer's parameter-free tail.
+    """Superoperator of one layer's parameter-free tail, built once per config.
 
     Instruction order: noise on qubit 0, noise on qubit 1, CNOT, noise
     on qubit 0, noise on qubit 1.  Noise-free configs reduce to the
-    CNOT conjugation alone.
+    CNOT conjugation alone.  The cached array is read-only.
     """
-    cnot_s = kraus_superop([_CNOT])
-    if config.channel is ChannelKind.NONE:
-        return cnot_s
-    ch = build_channel(config.channel, config.probability)
-    noise = [
-        kraus_superop([embed_kraus(k, q) for k in ch.kraus_ops]) for q in range(N_QUBITS)
-    ]
-    both = noise[1] @ noise[0]
-    return both @ cnot_s @ both
+    out = kraus_superop([_CNOT])
+    if config.channel is not ChannelKind.NONE:
+        ch = build_channel(config.channel, config.probability)
+        noise = [
+            kraus_superop([embed_kraus(k, q) for k in ch.kraus_ops]) for q in range(N_QUBITS)
+        ]
+        both = noise[1] @ noise[0]
+        out = both @ out @ both
+    out.flags.writeable = False
+    return out
 
 
 def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
     """<Z> on qubit 0 of the ansatz for a batch of (features, params) rows.
 
-    ``features`` has shape (B, 2).  ``params`` is either a single tensor
-    of shape (n_layers, 2, 3), shared by all rows, or a stack of shape
-    (B, n_layers, 2, 3) with one tensor per row.  Returns shape (B,).
+    ``features`` has shape (B, 2).  ``params`` holds V parameter tensors:
+    either one of shape (n_layers, 2, 3), shared by all rows (V = 1), or
+    a stack of shape (V, n_layers, 2, 3) with V dividing B, where tensor
+    v serves the k = B / V consecutive rows ``v*k ... (v+1)*k - 1``.
+    V = B gives every row its own tensor.  Returns shape (B,).
+
+    Each layer builds V gates, not B, and views the state stack as
+    (V, 4, k, 4), so both halves of the conjugation ``u rho u^dag`` are
+    one matrix product per tensor: ``(V,4,4) @ (V,4,4k)``, then
+    ``(V,4k,4) @ (V,4,4)``.  The result is bitwise identical to the
+    per-row stack ``np.repeat(params, k, axis=0)``: the BLAS ``zgemm``
+    behind ``@`` computes each output element the same way whatever the
+    matrix shape.  Keep it so.  A training sample at x0 = pi/2 outputs
+    about -2.8e-17 near the zero init, and a readout that reorders the
+    arithmetic (``einsum``, a matrix-vector product, or evolving Z
+    backward through the layers) flips its predicted class.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     params = np.asarray(params, dtype=float)
@@ -112,9 +138,14 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
         raise ValueError(f"features must have shape (B, {N_QUBITS}), got {features.shape}")
     shape = param_shape(config)
     if params.shape == shape:
-        params = np.broadcast_to(params, (batch,) + shape)
-    elif params.shape != (batch,) + shape:
-        raise ValueError(f"params shape {params.shape} does not match {(batch,) + shape}")
+        params = params[None]
+    n_tensors = len(params) if params.ndim == len(shape) + 1 else 0
+    if n_tensors < 1 or params.shape[1:] != shape or batch % n_tensors:
+        raise ValueError(
+            f"params shape {params.shape} is neither {shape} nor (V,) + {shape} "
+            f"with V dividing B = {batch}"
+        )
+    rows = batch // n_tensors
 
     # right-multiplication form for row-vectorized states
     tail_t = static_layer_superop(config).T
@@ -129,7 +160,12 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
         u = kron_batch(
             rot_matrices(params[:, layer, 0, :]), rot_matrices(params[:, layer, 1, :])
         )
-        rho = u @ rho @ u.conj().swapaxes(-1, -2)
+        # (V, k, 4, 4) -> (V, 4, k, 4): row index i of every state of tensor v
+        # leads, so u_v multiplies all k states as one (4, 4k) matrix
+        grouped = rho.reshape(n_tensors, rows, 4, 4).transpose(0, 2, 1, 3)
+        left = u @ grouped.reshape(n_tensors, 4, 4 * rows)
+        out = left.reshape(n_tensors, 4 * rows, 4) @ u.conj().swapaxes(-1, -2)
+        rho = out.reshape(n_tensors, 4, rows, 4).transpose(0, 2, 1, 3)
         rho = (rho.reshape(batch, 16) @ tail_t).reshape(batch, 4, 4)
 
     z = rho[:, 0, 0] + rho[:, 1, 1] - rho[:, 2, 2] - rho[:, 3, 3]

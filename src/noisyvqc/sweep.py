@@ -25,11 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import NOISY_KINDS, ChannelKind
+from .channels import NOISY_KINDS, ChannelKind, SettingError, check_probability
 from .circuit import DEFAULT_LAYERS, AnsatzConfig
 from .data import feature_stats, load_iris_binary, preprocess, split
 from .svg import emit_svg
-from .training import RunRecord, SettingError, StepRecord, TrainSettings, train
+from .training import RunRecord, StepRecord, TrainSettings, train
 
 DEFAULT_PROBABILITIES = tuple(round(0.1 * i, 1) for i in range(1, 11))
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
@@ -59,10 +59,8 @@ class SweepConfig:
         if not self.seeds:
             raise SettingError("seeds", "at least one seed is required")
         for p in self.probabilities:
-            if not 0.0 <= p <= 1.0:
-                raise SettingError("probabilities", f"{p} outside [0, 1]")
-        if self.n_layers < 1:
-            raise SettingError("n_layers", f"must be at least 1, got {self.n_layers}")
+            check_probability(p, "probabilities")
+        AnsatzConfig(n_layers=self.n_layers)  # checks the layer count
         if self.workers is not None and self.workers < 1:
             raise SettingError("workers", f"must be at least 1, got {self.workers}")
         # a run id names a run's CSV and its results.csv rows: two runs under

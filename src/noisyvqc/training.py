@@ -29,12 +29,13 @@ bit-reproducible from its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelKind
+from .channels import ChannelKind, SettingError
 from .circuit import AnsatzConfig, param_shape
 from .evaluator import ansatz_expectations
 
@@ -77,9 +78,11 @@ def model_output(features, params, config: AnsatzConfig) -> float:
 def _shift_rule(features, params, config: AnsatzConfig) -> tuple[np.ndarray, np.ndarray]:
     """Outputs ``h`` (B,) and parameter-shift gradients ``dh`` (B, P) of a sample batch.
 
-    The one implementation of the shift rule.  All B x (2P + 1) variants
-    run as a single evaluator batch: per sample, the unshifted row, then
-    rows 1 + 2i and 2 + 2i with flat parameter i shifted by +pi/2 and -pi/2.
+    The one implementation of the shift rule.  All (2P + 1) x B variants
+    run as a single evaluator batch with variant-major rows: variant 0 is
+    unshifted, variants 1 + 2i and 2 + 2i shift flat parameter i by +pi/2
+    and -pi/2, and each variant's tensor serves the B consecutive rows of
+    the whole sample batch, so the evaluator builds one gate per variant.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     params = np.asarray(params, dtype=float)
@@ -88,11 +91,10 @@ def _shift_rule(features, params, config: AnsatzConfig) -> tuple[np.ndarray, np.
     idx = np.arange(n)
     variants[1 + 2 * idx, idx] += SHIFT
     variants[2 + 2 * idx, idx] -= SHIFT
-    n_samples = features.shape[0]
-    feats = np.repeat(features, 2 * n + 1, axis=0)
-    stack = np.tile(variants.reshape((2 * n + 1,) + params.shape), (n_samples, 1, 1, 1))
-    h = ansatz_expectations(feats, stack, config).reshape(n_samples, 2 * n + 1)
-    return h[:, 0], (h[:, 1::2] - h[:, 2::2]) / 2.0
+    feats = np.tile(features, (2 * n + 1, 1))
+    stack = variants.reshape((2 * n + 1,) + params.shape)
+    h = ansatz_expectations(feats, stack, config).reshape(2 * n + 1, features.shape[0])
+    return h[0], ((h[1::2] - h[2::2]) / 2.0).T
 
 
 def parameter_shift_grad(features, params, config: AnsatzConfig) -> np.ndarray:
@@ -112,14 +114,6 @@ def cost_gradient(features, labels, params, config: AnsatzConfig) -> np.ndarray:
     return np.mean(-2.0 * residual[:, None] * dh, axis=0).reshape(np.shape(params))
 
 
-class SettingError(ValueError):
-    """A rejected setting; ``field`` names the field that holds it."""
-
-    def __init__(self, field: str, reason: str) -> None:
-        super().__init__(f"{field}: {reason}")
-        self.field, self.reason = field, reason
-
-
 @dataclass(frozen=True)
 class TrainSettings:
     """Optimizer settings of one run, each defaulted and checked here only."""
@@ -133,8 +127,10 @@ class TrainSettings:
         for name in ("steps", "batch_size"):
             if getattr(self, name) < 1:
                 raise SettingError(name, f"must be at least 1, got {getattr(self, name)}")
-        if not self.learning_rate > 0:
-            raise SettingError("learning_rate", f"must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise SettingError(
+                "learning_rate", f"must be positive and finite, got {self.learning_rate}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise SettingError("momentum", f"must lie in [0, 1), got {self.momentum}")
 

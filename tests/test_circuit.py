@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisyvqc.channels import ChannelKind
+from noisyvqc.channels import ChannelKind, SettingError
 from noisyvqc.circuit import AnsatzConfig, cnot_matrix
 
 
@@ -35,9 +35,11 @@ class TestCnotMatrix:
 
 class TestAnsatzConfig:
     def test_config_probability_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SettingError, match=r"1.5 outside \[0, 1\]") as exc:
             AnsatzConfig(channel=ChannelKind.BIT_FLIP, probability=1.5)
+        assert exc.value.field == "probability"
 
     def test_config_layers_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SettingError, match="must be at least 1") as exc:
             AnsatzConfig(n_layers=0)
+        assert exc.value.field == "n_layers"

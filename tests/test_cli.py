@@ -58,6 +58,7 @@ class TestTrainingFlagValidation:
             ["run", "--channel", "none", "--steps", "0"],
             ["run", "--channel", "none", "--layers", "0"],
             ["run", "--channel", "none", "--lr", "-1"],
+            ["run", "--channel", "none", "--lr", "inf"],
             ["run", "--channel", "none", "--momentum", "1"],
             ["run", "--channel", "bit-flip", "--prob", "1.5"],
             ["sweep", "--steps", "0"],

@@ -91,6 +91,14 @@ class TestSuperops:
             static_layer_superop(cfg), kraus_superop([cnot_matrix()])
         )
 
+    def test_cached_superop_is_read_only_and_equal_to_a_fresh_build(self):
+        cfg = AnsatzConfig(channel=ChannelKind.AMPLITUDE_DAMPING, probability=0.4, n_layers=2)
+        cached = static_layer_superop(cfg)
+        assert static_layer_superop(AnsatzConfig(ChannelKind.AMPLITUDE_DAMPING, 0.4, 2)) is cached
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 1.0
+        np.testing.assert_array_equal(cached, static_layer_superop.__wrapped__(cfg))
+
     def test_unitary_superop_action(self, rng):
         u = cnot_matrix()
         rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -114,24 +122,34 @@ class TestAgainstReferenceSimulator:
         kind=st.sampled_from(list(ChannelKind)),
         p=st.floats(0.0, 1.0),
         n_layers=st.integers(1, 5),
+        n_tensors=st.sampled_from([1, 2, 4]),
         data=st.data(),
     )
-    def test_matches_kraus_fold_property(self, kind, p, n_layers, data):
+    def test_matches_kraus_fold_property(self, kind, p, n_layers, n_tensors, data):
+        # 4 rows served by n_tensors parameter tensors, each by 4 // n_tensors rows
         cfg = AnsatzConfig(channel=kind, probability=p, n_layers=n_layers)
         angles = st.floats(-10.0, 10.0)
-        features = data.draw(arrays(float, (3, 2), elements=angles), label="features")
-        params = data.draw(arrays(float, (3,) + param_shape(cfg), elements=angles), label="params")
+        features = data.draw(arrays(float, (4, 2), elements=angles), label="features")
+        params = data.draw(
+            arrays(float, (n_tensors,) + param_shape(cfg), elements=angles), label="params"
+        )
         fast = ansatz_expectations(features, params, cfg)
-        reference = [run(ansatz_kraus_sets(features[i], params[i], cfg)) for i in range(3)]
+        rows = 4 // n_tensors
+        reference = [run(ansatz_kraus_sets(features[i], params[i // rows], cfg)) for i in range(4)]
         np.testing.assert_allclose(fast, reference, atol=1e-12)
 
     def test_shared_params_broadcast(self, rng):
+        # V tensors for B = 6 rows give the bits of the explicit per-row stack:
+        # shared (V = 1, also in the (L, 2, 3) form), a proper divisor, V = B
         cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.3, n_layers=2)
-        features = rng.uniform(0, np.pi, size=(5, 2))
-        params = rng.normal(size=param_shape(cfg))
-        shared = ansatz_expectations(features, params, cfg)
-        stacked = ansatz_expectations(features, np.broadcast_to(params, (5,) + params.shape), cfg)
-        np.testing.assert_array_equal(shared, stacked)
+        features = rng.uniform(0, np.pi, size=(6, 2))
+        for n_tensors in (1, 2, 6):
+            params = rng.normal(size=(n_tensors,) + param_shape(cfg))
+            per_row = ansatz_expectations(features, np.repeat(params, 6 // n_tensors, axis=0), cfg)
+            np.testing.assert_array_equal(ansatz_expectations(features, params, cfg), per_row)
+            if n_tensors == 1:
+                shared = ansatz_expectations(features, params[0], cfg)
+                np.testing.assert_array_equal(shared, per_row)
 
     def test_row_independence(self, rng):
         # each row's value is unaffected by the rest of the batch
@@ -152,5 +170,7 @@ class TestValidation:
 
     def test_bad_param_shape(self):
         cfg = AnsatzConfig(n_layers=2)
-        with pytest.raises(ValueError):
-            ansatz_expectations(np.zeros((2, 2)), np.zeros((3, 2, 3)), cfg)
+        # wrong layer count, shared and stacked; V = 0; V = 3 not dividing B = 4
+        for shape in [(3, 2, 3), (2, 1, 2, 3), (0, 2, 2, 3), (3, 2, 2, 3)]:
+            with pytest.raises(ValueError, match="params shape"):
+                ansatz_expectations(np.zeros((4, 2)), np.zeros(shape), cfg)

@@ -75,6 +75,18 @@ class TestExecuteRun:
             execute_run(ChannelKind.NONE, 0.0, 1, data_path=missing, **{field: value})
         assert exc.value.field == field
 
+    @pytest.mark.parametrize(
+        "probability,n_layers,field", [(1.5, 5, "probability"), (0.5, 0, "n_layers")]
+    )
+    def test_rejects_bad_ansatz_setting_before_reading_data(
+        self, tmp_path, probability, n_layers, field
+    ):
+        # the same rules as SweepConfig's, raised as the same error type
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SettingError) as exc:
+            execute_run(ChannelKind.BIT_FLIP, probability, 1, n_layers, data_path=missing)
+        assert exc.value.field == field
+
 
 class TestRunSweep:
     def test_spec_order_and_count(self, tmp_path):
@@ -95,8 +107,9 @@ class TestRunSweep:
             SweepConfig(seeds=())
 
     def test_rejects_bad_probability(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SettingError, match=r"1.3 outside \[0, 1\]") as exc:
             SweepConfig(probabilities=(0.5, 1.3))
+        assert exc.value.field == "probabilities"
 
     @pytest.mark.parametrize(
         "field,value",

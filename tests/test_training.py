@@ -209,6 +209,13 @@ class TestNesterovStep:
         with pytest.raises(SettingError, match="momentum"):
             TrainSettings(momentum=1.0)
 
+    @pytest.mark.parametrize("lr", [math.inf, -math.inf, math.nan])
+    def test_non_finite_learning_rate_rejected(self, lr):
+        # an infinite rate would train to all-NaN costs
+        with pytest.raises(SettingError, match="positive and finite") as exc:
+            TrainSettings(learning_rate=lr)
+        assert exc.value.field == "learning_rate"
+
 
 class TestTrain:
     def _tiny_splits(self, rng):
