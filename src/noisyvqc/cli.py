@@ -40,7 +40,13 @@ from .training import TrainSettings
 _CHANNEL_VALUES = [k.value for k in ChannelKind]
 _NOISY_VALUES = [k.value for k in NOISY_KINDS]
 
-_FLAGS = {"batch_size": "--batch", "n_layers": "--layers", "learning_rate": "--lr", "probabilities": "--probs"}
+_FLAGS = {
+    "batch_size": "--batch",
+    "n_layers": "--layers",
+    "learning_rate": "--lr",
+    "probabilities": "--probs",
+    "data_path": "--data",
+}
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:

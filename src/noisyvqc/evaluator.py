@@ -24,6 +24,11 @@ Grouping changes the shapes of the matrix products, never the
 arithmetic of an output element, so a readout keeps the bits of one
 conjugation per row; ``ansatz_expectations`` says why they must hold.
 
+These matrix products have inner dimension 4 or 16, too small for a
+second BLAS thread to pay for itself: on gradient batches it only
+spins, and on a process pool it takes a core from another worker.
+``one_blas_thread`` caps BLAS at one thread while training runs.
+
 This module is the package's only gate library: a single gate is a
 batch of one, e.g. ``rot_matrices(angles[None])[0]``.  The result is
 identical to folding ``simulator.ansatz_kraus_sets`` through the
@@ -33,6 +38,8 @@ together at 1e-12.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
 
 import numpy as np
@@ -41,6 +48,54 @@ from .channels import ChannelKind, build_channel, embed_kraus
 from .circuit import AnsatzConfig, N_QUBITS, cnot_matrix, param_shape
 
 _CNOT = cnot_matrix(0, 1)
+
+#: (get, set) symbol pairs of the OpenBLAS thread count, in lookup order:
+#: the scipy-openblas build bundled with numpy wheels, then system builds
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def blas_thread_calls():
+    """The (get, set) thread-count functions of numpy's BLAS, or None if unknown.
+
+    The handle is numpy's own extension module, and ``dlsym`` on it also
+    searches the libraries it links, so no BLAS file name is needed.
+    MKL, Windows and numpy 1.x (no ``np._core``) find nothing.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_SYMBOLS:
+        if hasattr(lib, get_name) and hasattr(lib, set_name):
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count.
+
+    Does nothing when ``blas_thread_calls`` finds no BLAS; outputs are
+    bitwise the same either way, only slower.
+    """
+    calls = blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def rx_matrices(angles: np.ndarray) -> np.ndarray:

@@ -21,13 +21,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .channels import NOISY_KINDS, ChannelKind, SettingError, check_probability
 from .circuit import DEFAULT_LAYERS, AnsatzConfig
-from .data import feature_stats, load_iris_binary, preprocess, split
+from .data import Dataset, feature_stats, load_iris_binary, preprocess, split
 from .svg import emit_svg
 from .training import RunRecord, StepRecord, TrainSettings, train
 
@@ -40,6 +41,15 @@ TRAINABLE_THRESHOLD = 0.80
 
 CSV_HEADER = "run_id,channel,prob,seed,step,cost,train_acc,val_acc"
 SUMMARY_HEADER = "channel,prob,seeds,mean_final_val_acc,trainable"
+
+
+def _check_run_inputs(seeds: Sequence[int], data_path: str | None) -> None:
+    """The seed and data-file rules of :class:`SweepConfig` and :func:`execute_run`."""
+    for seed in seeds:
+        if seed < 0:
+            raise SettingError("seeds", f"must be non-negative, got {seed}")
+    if data_path is not None and not os.path.isfile(data_path):
+        raise SettingError("data_path", f"no such file: {data_path}")
 
 
 @dataclass(frozen=True)
@@ -58,6 +68,7 @@ class SweepConfig:
     def __post_init__(self) -> None:
         if not self.seeds:
             raise SettingError("seeds", "at least one seed is required")
+        _check_run_inputs(self.seeds, self.data_path)
         for p in self.probabilities:
             check_probability(p, "probabilities")
         AnsatzConfig(n_layers=self.n_layers)  # checks the layer count
@@ -115,14 +126,21 @@ def execute_run(
 ) -> RunRecord:
     """Load, split, preprocess, and train one configuration end to end.
 
-    ``training`` holds :class:`TrainSettings` fields; the settings are
-    checked before any data is read.  The run seed drives the stratified
-    split as well as the training RNG, so a (channel, probability, seed)
-    triple pins the entire run.
+    ``training`` holds :class:`TrainSettings` fields; the settings, the
+    seed and the data path are checked before any data is read.  The run
+    seed drives the stratified split as well as the training RNG, so a
+    (channel, probability, seed) triple pins the entire run.
     """
     settings = TrainSettings(**training)
     config = AnsatzConfig(channel=channel, probability=probability, n_layers=n_layers)
-    dataset = load_iris_binary(data_path)
+    _check_run_inputs((seed,), data_path)
+    return _train_on(load_iris_binary(data_path), config, settings, seed)
+
+
+def _train_on(
+    dataset: Dataset, config: AnsatzConfig, settings: TrainSettings, seed: int
+) -> RunRecord:
+    """Split, preprocess, and train one configuration on a loaded dataset."""
     train_ds, val_ds = split(dataset, seed=seed)
     stats = feature_stats(train_ds.features)
     return train(
@@ -136,27 +154,27 @@ def execute_run(
     )
 
 
-def _run_spec(args: tuple) -> RunRecord:
-    channel_value, probability, seed, settings = args
-    return execute_run(ChannelKind(channel_value), probability, seed, **settings)
-
-
 def run_sweep(config: SweepConfig, progress=None) -> list[RunRecord]:
     """Execute every run of the sweep, in parallel up to ``workers``.
 
+    The data file is parsed once and the dataset handed to every run.
     The returned list follows ``config.run_specs()`` order regardless of
     scheduling, so downstream output is deterministic.
     """
-    settings = config.run_settings()
-    tasks = [(ch.value, prob, seed, settings) for ch, prob, seed in config.run_specs()]
+    specs = config.run_specs()
+    dataset = load_iris_binary(config.data_path)
+    configs = [
+        AnsatzConfig(channel=ch, probability=p, n_layers=config.n_layers) for ch, p, _ in specs
+    ]
+    args = (repeat(dataset), configs, repeat(config.training), [seed for *_, seed in specs])
     workers = config.workers or os.cpu_count() or 1
     records: list[RunRecord] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = pool.map(_run_spec, tasks, chunksize=4) if pool else map(_run_spec, tasks)
+        results = pool.map(_train_on, *args, chunksize=4) if pool else map(_train_on, *args)
         for record in results:
             records.append(record)
             if progress:
-                progress(record, len(records), len(tasks))
+                progress(record, len(records), len(specs))
     return records
 
 

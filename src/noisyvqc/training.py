@@ -37,7 +37,7 @@ import numpy as np
 
 from .channels import ChannelKind, SettingError
 from .circuit import AnsatzConfig, param_shape
-from .evaluator import ansatz_expectations
+from .evaluator import ansatz_expectations, one_blas_thread
 
 #: standard deviation of the i.i.d. normal parameter initialization.
 #: All-zero parameters are a stationary point of the loss, so runs start
@@ -191,6 +191,8 @@ def train(
     draws, with ``INIT_STD`` = 1e-7 next to the all-zero stationary
     point; all randomness comes from one PCG64 generator seeded with
     ``seed``, so identical arguments reproduce the run bit for bit.
+    The steps run on one BLAS thread (``evaluator.one_blas_thread``), so
+    a process pool of runs is the only parallelism.
     """
     train_features = np.asarray(train_features, dtype=float)
     train_labels = np.asarray(train_labels)
@@ -206,20 +208,21 @@ def train(
     n_train = len(train_labels)
     eval_features = np.vstack([train_features, val_features])
     record = RunRecord(channel=config.channel, probability=config.probability, seed=seed)
-    for step in range(1, settings.steps + 1):
-        idx = rng.integers(0, n_train, size=settings.batch_size)
-        batch_x, batch_y = train_features[idx], train_labels[idx]
-        params, velocity = nesterov_step(
-            params, velocity, lambda p: cost_gradient(batch_x, batch_y, p, config), settings
-        )
-        outputs = ansatz_expectations(eval_features, params, config)
-        train_out, val_out = outputs[:n_train], outputs[n_train:]
-        record.steps.append(
-            StepRecord(
-                step=step,
-                cost=batch_cost(batch_y, train_out[idx]),
-                train_accuracy=accuracy(train_labels, train_out),
-                val_accuracy=accuracy(val_labels, val_out),
+    with one_blas_thread():
+        for step in range(1, settings.steps + 1):
+            idx = rng.integers(0, n_train, size=settings.batch_size)
+            batch_x, batch_y = train_features[idx], train_labels[idx]
+            params, velocity = nesterov_step(
+                params, velocity, lambda p: cost_gradient(batch_x, batch_y, p, config), settings
             )
-        )
+            outputs = ansatz_expectations(eval_features, params, config)
+            train_out, val_out = outputs[:n_train], outputs[n_train:]
+            record.steps.append(
+                StepRecord(
+                    step=step,
+                    cost=batch_cost(batch_y, train_out[idx]),
+                    train_accuracy=accuracy(train_labels, train_out),
+                    val_accuracy=accuracy(val_labels, val_out),
+                )
+            )
     return record

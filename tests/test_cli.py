@@ -61,12 +61,15 @@ class TestTrainingFlagValidation:
             ["run", "--channel", "none", "--lr", "inf"],
             ["run", "--channel", "none", "--momentum", "1"],
             ["run", "--channel", "bit-flip", "--prob", "1.5"],
+            ["run", "--channel", "none", "--seed", "-1"],
+            ["run", "--channel", "none", "--data", "missing.csv"],
             ["sweep", "--steps", "0"],
             ["sweep", "--batch", "0"],
             ["sweep", "--layers", "0"],
             ["sweep", "--lr", "0"],
             ["sweep", "--momentum", "-0.5"],
             ["sweep", "--workers", "0"],
+            ["sweep", "--seeds", "-1"],
             ["sweep", "--probs", "0.5", "-0.1"],
             ["sweep", "--channels", "bit-flip", "--probs", "0.5", "--seeds", "1", "1"],
             ["sweep", "--channels", "bit-flip", "--probs", "0.1", "0.1000001"],

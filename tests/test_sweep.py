@@ -4,7 +4,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from noisyvqc import sweep
 from noisyvqc.channels import ChannelKind
+from noisyvqc.data import load_iris_binary
 from noisyvqc.sweep import (
     CSV_HEADER,
     CellSummary,
@@ -87,6 +89,18 @@ class TestExecuteRun:
             execute_run(ChannelKind.BIT_FLIP, probability, 1, n_layers, data_path=missing)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize(
+        "seed,data,field", [(-1, None, "seeds"), (1, "missing.csv", "data_path")]
+    )
+    def test_rejects_bad_seed_or_data_path_before_reading_data(
+        self, tmp_path, monkeypatch, seed, data, field
+    ):
+        monkeypatch.setattr(sweep, "load_iris_binary", lambda *a: pytest.fail("data was read"))
+        data_path = None if data is None else str(tmp_path / data)
+        with pytest.raises(SettingError, match=field) as exc:
+            execute_run(ChannelKind.NONE, 0.0, seed, data_path=data_path)
+        assert exc.value.field == field
+
 
 class TestRunSweep:
     def test_spec_order_and_count(self, tmp_path):
@@ -101,6 +115,29 @@ class TestRunSweep:
         parallel = run_sweep(tiny_config(tmp_path / "b", workers=2))
         for x, y in zip(serial, parallel):
             assert x.steps == y.steps
+
+    def test_serial_sweep_parses_the_data_once(self, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return load_iris_binary(path)
+
+        monkeypatch.setattr(sweep, "load_iris_binary", counting)
+        config = SweepConfig(
+            channels=(ChannelKind.DEPOLARIZING, ChannelKind.BIT_FLIP),
+            probabilities=(0.5,),
+            seeds=(1,),
+            workers=1,
+            training=TrainSettings(steps=2, batch_size=2),
+            n_layers=1,
+        )
+        records = run_sweep(config)
+        assert len(records) == 3
+        assert calls == [None]
+        for record, (channel, prob, seed) in zip(records, config.run_specs()):
+            alone = execute_run(channel, prob, seed, steps=2, batch_size=2, n_layers=1)
+            assert record.steps == alone.steps
 
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
@@ -131,6 +168,17 @@ class TestRunSweep:
         with pytest.raises(SettingError, match=field) as exc:
             owner(**{field: value})
         assert exc.value.field == field
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(SettingError, match="non-negative, got -1") as exc:
+            SweepConfig(seeds=(1, -1))
+        assert exc.value.field == "seeds"
+
+    def test_rejects_missing_data_file(self, tmp_path):
+        missing = str(tmp_path / "missing.csv")
+        with pytest.raises(SettingError, match="no such file") as exc:
+            SweepConfig(data_path=missing)
+        assert exc.value.field == "data_path"
 
     @pytest.mark.parametrize(
         "grid,field,rid",

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from noisyvqc import evaluator, training
 from noisyvqc.channels import ChannelKind
 from noisyvqc.circuit import AnsatzConfig, param_shape
+from noisyvqc.evaluator import ansatz_expectations, blas_thread_calls, one_blas_thread
 from noisyvqc.linalg import PAULI_X
 from noisyvqc.simulator import on_qubit, rotation, run
 from noisyvqc.training import (
@@ -274,6 +276,87 @@ class TestTrain:
         assert final([0.0] + [1.0] * 10) == 1.0
         assert final([0.0] * 5 + [1.0] * 5) == 0.5
         assert final([0.0, 1.0]) == 0.5
+
+
+def blas_threads():
+    """(get, set) of numpy's BLAS thread count; skips where it exposes none."""
+    calls = blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exposes no thread-count symbols")
+    return calls
+
+
+class TestOneBlasThread:
+    def _tiny_run(self):
+        rng = np.random.default_rng(3)
+        tx = rng.uniform(0, math.pi, size=(8, 2))
+        ty = np.where(tx[:, 0] > math.pi / 2, 1, -1)
+        cfg = AnsatzConfig(channel=ChannelKind.AMPLITUDE_DAMPING, probability=0.1, n_layers=2)
+        return tx, ty, tx[:4], ty[:4], cfg, TrainSettings(steps=4, batch_size=3)
+
+    def test_train_evaluates_on_one_thread_and_restores(self, monkeypatch):
+        get, _ = blas_threads()
+        before = get()
+        seen = []
+
+        def counting(*args):
+            seen.append(get())
+            return ansatz_expectations(*args)
+
+        monkeypatch.setattr(training, "ansatz_expectations", counting)
+        record = train(*self._tiny_run())
+        assert len(record.steps) == 4
+        assert seen and set(seen) == {1}
+        assert get() == before
+
+    def test_train_restores_after_raising(self, monkeypatch):
+        get, _ = blas_threads()
+        before = get()
+
+        def failing(*args):
+            raise RuntimeError("evaluator failed")
+
+        monkeypatch.setattr(training, "ansatz_expectations", failing)
+        with pytest.raises(RuntimeError, match="evaluator failed"):
+            train(*self._tiny_run())
+        assert get() == before
+
+    def test_no_blas_symbols_leave_threads_alone_and_bits_unchanged(self, monkeypatch):
+        capped = train(*self._tiny_run())
+        monkeypatch.setattr(evaluator, "_BLAS_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),))
+        assert blas_thread_calls() is None
+        uncapped = train(*self._tiny_run())
+        assert uncapped == capped
+
+    def test_outputs_bitwise_equal_at_two_threads_and_one(self):
+        # a future BLAS that split the inner dimension of these products
+        # across threads would change the bits of summary.csv and results.csv
+        get, set_ = blas_threads()
+        rng = np.random.default_rng(7)
+        cfg = AnsatzConfig(channel=ChannelKind.AMPLITUDE_DAMPING, probability=0.1)
+        params = rng.normal(size=param_shape(cfg))
+        readout_x = rng.uniform(0, math.pi, size=(2000, 2))
+        batch_x = rng.uniform(0, math.pi, size=(5, 2))
+        batch_y = rng.choice([-1, 1], size=5)
+
+        def outputs():
+            return (
+                ansatz_expectations(readout_x, params, cfg),
+                cost_gradient(batch_x, batch_y, params, cfg),
+            )
+
+        before = get()
+        set_(2)
+        try:
+            if get() != 2:
+                pytest.skip("BLAS cannot run two threads here")
+            two = outputs()
+            with one_blas_thread():
+                one = outputs()
+        finally:
+            set_(before)
+        for a, b in zip(two, one):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestDepolarizingStaysNearChance:
