@@ -160,7 +160,12 @@ def _cmd_summarize(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     results_path = os.path.join(args.out, "results.csv")
     if not os.path.exists(results_path):
         parser.error(f"no results.csv found in {args.out}")
-    records = read_results_csv(results_path)
+    try:
+        records = read_results_csv(results_path)
+    except ValueError as exc:
+        parser.error(f"{results_path}: {exc}")
+    if not records:
+        parser.error(f"{results_path} holds no runs")
     cells = summarize(records)
     write_summary_csv(os.path.join(args.out, "summary.csv"), cells)
     print(format_summary_table(cells))

@@ -73,13 +73,15 @@ def load_iris_binary(source: str | None = None) -> Dataset:
         with open(source, "r", encoding="utf-8") as f:
             text = f.read()
 
+    col_a, col_b = FEATURE_COLUMNS
+    species: dict[str, int | None] = {}  # raw species token -> label
     features: list[tuple[float, float]] = []
     labels: list[int] = []
+    # float() and _parse_species accept padded fields, so no field is stripped
     for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")]
+        fields = line.split(",")
+        if len(fields) == 1 and not line.strip():
+            continue  # blank line
         if len(fields) != 5:
             raise ValueError(f"line {line_no}: expected 5 columns, got {len(fields)}")
         if line_no == 1:
@@ -88,16 +90,19 @@ def load_iris_binary(source: str | None = None) -> Dataset:
             except ValueError:
                 continue  # header row
         try:
-            values = [float(fields[c]) for c in FEATURE_COLUMNS]
+            a, b = float(fields[col_a]), float(fields[col_b])
         except ValueError as exc:
             raise ValueError(f"line {line_no}: malformed numeric field") from exc
-        if not all(math.isfinite(v) for v in values):
+        if not (math.isfinite(a) and math.isfinite(b)):
             raise ValueError(f"line {line_no}: non-finite feature value")
-        label = _parse_species(fields[4], line_no)
-        if label is None:
-            continue
-        features.append((values[0], values[1]))
-        labels.append(label)
+        token = fields[4]
+        if token in species:
+            label = species[token]
+        else:
+            label = species[token] = _parse_species(token, line_no)
+        if label is not None:
+            features.append((a, b))
+            labels.append(label)
 
     labels_arr = np.array(labels, dtype=int)
     if len(np.unique(labels_arr)) < 2:

@@ -7,14 +7,16 @@ dominated by interpreter overhead, so this module evolves a whole stack
 of density matrices at once and collapses every fixed sub-sequence of
 instructions ahead of time:
 
-* the two encoding RX gates (and likewise the two Rot gates of each
-  layer) act on different qubits, so their product is a single
-  Kronecker factor applied as one batched conjugation;
+* the two Rot gates of each layer act on different qubits, so their
+  product is a single Kronecker factor applied as one batched
+  conjugation, and the encoded state is the outer product of the two
+  encoding RX gates' first columns;
 * rows are grouped by the parameter tensor they share (all rows of a
-  readout, and the rows of one shift variant in a gradient), so a
-  layer builds one Rot gate per tensor and conjugates all of that
-  tensor's states with one matrix product on each side, the states
-  laid out as (V, 4, k, 4) for V tensors of k rows each;
+  readout, and the rows of one shift variant in a gradient), so a call
+  makes one build of all L x V gates, one per layer and tensor, and a
+  layer conjugates all of a tensor's states with one matrix product on
+  each side, the states laid out as (V, 4, k, 4) for V tensors of k
+  rows each;
 * the parameter-free remainder of a layer -- noise on both qubits, the
   CNOT, noise on both qubits again -- is one 16x16 superoperator acting
   on row-major vectorized states, built once per ``AnsatzConfig`` and
@@ -175,13 +177,14 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
     v serves the k = B / V consecutive rows ``v*k ... (v+1)*k - 1``.
     V = B gives every row its own tensor.  Returns shape (B,).
 
-    Each layer builds V gates, not B, and views the state stack as
-    (V, 4, k, 4), so both halves of the conjugation ``u rho u^dag`` are
-    one matrix product per tensor: ``(V,4,4) @ (V,4,4k)``, then
-    ``(V,4k,4) @ (V,4,4)``.  The result is bitwise identical to the
-    per-row stack ``np.repeat(params, k, axis=0)``: the BLAS ``zgemm``
-    behind ``@`` computes each output element the same way whatever the
-    matrix shape.  Keep it so.  A training sample at x0 = pi/2 outputs
+    One build of all L x V gates per call, not L x B, with their
+    adjoints; each layer views the state stack as (V, 4, k, 4), so both
+    halves of the conjugation ``u rho u^dag`` are one matrix product per
+    tensor: ``(V,4,4) @ (V,4,4k)``, then ``(V,4k,4) @ (V,4,4)``.  The
+    result is bitwise identical to the per-row stack
+    ``np.repeat(params, k, axis=0)``: the BLAS ``zgemm`` behind ``@``
+    computes each output element the same way whatever the matrix
+    shape.  Keep it so.  A training sample at x0 = pi/2 outputs
     about -2.8e-17 near the zero init, and a readout that reorders the
     arithmetic (``einsum``, a matrix-vector product, or evolving Z
     backward through the layers) flips its predicted class.
@@ -206,22 +209,30 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
     tail_t = static_layer_superop(config).T
 
     # the encoding unitary hits |00><00|, so rho is the outer product of
-    # its first column with itself
-    enc = kron_batch(rx_matrices(features[:, 0]), rx_matrices(features[:, 1]))
-    col = enc[:, :, 0]
+    # its first column with itself, the product of the RX columns
+    rx0, rx1 = rx_matrices(features[:, 0]), rx_matrices(features[:, 1])
+    col = (rx0[:, :, None, 0] * rx1[:, None, :, 0]).reshape(batch, 4)
     rho = col[:, :, None] * col.conj()[:, None, :]
 
-    for layer in range(config.n_layers):
-        u = kron_batch(
-            rot_matrices(params[:, layer, 0, :]), rot_matrices(params[:, layer, 1, :])
-        )
+    # every layer's gates in one build, layer-major so that gates[layer]
+    # is a contiguous (V, 4, 4) block
+    rots = rot_matrices(params.transpose(1, 0, 2, 3))  # (L, V, 2, 2, 2)
+    gates = kron_batch(
+        rots[:, :, 0].reshape(-1, 2, 2), rots[:, :, 1].reshape(-1, 2, 2)
+    ).reshape(config.n_layers, n_tensors, 4, 4)
+    gates_dag = np.ascontiguousarray(gates.conj().swapaxes(-1, -2))
+
+    # Each step rebinds rho, so at most three state stacks are alive at
+    # once.  Keeping more (named intermediates) lets the heap top of a
+    # 305-row gradient call grow past glibc's trim threshold, and every
+    # call then returns its pages and faults them back in.
+    for u, u_dag in zip(gates, gates_dag):
         # (V, k, 4, 4) -> (V, 4, k, 4): row index i of every state of tensor v
         # leads, so u_v multiplies all k states as one (4, 4k) matrix
-        grouped = rho.reshape(n_tensors, rows, 4, 4).transpose(0, 2, 1, 3)
-        left = u @ grouped.reshape(n_tensors, 4, 4 * rows)
-        out = left.reshape(n_tensors, 4 * rows, 4) @ u.conj().swapaxes(-1, -2)
-        rho = out.reshape(n_tensors, 4, rows, 4).transpose(0, 2, 1, 3)
-        rho = (rho.reshape(batch, 16) @ tail_t).reshape(batch, 4, 4)
+        rho = rho.reshape(n_tensors, rows, 4, 4).transpose(0, 2, 1, 3)
+        rho = (u @ rho.reshape(n_tensors, 4, 4 * rows)).reshape(n_tensors, 4 * rows, 4) @ u_dag
+        rho = rho.reshape(n_tensors, 4, rows, 4).transpose(0, 2, 1, 3).reshape(batch, 16) @ tail_t
 
+    rho = rho.reshape(batch, 4, 4)
     z = rho[:, 0, 0] + rho[:, 1, 1] - rho[:, 2, 2] - rho[:, 3, 3]
     return z.real

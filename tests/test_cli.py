@@ -3,7 +3,7 @@ import os
 import pytest
 
 from noisyvqc.cli import main
-from noisyvqc.sweep import read_results_csv
+from noisyvqc.sweep import CSV_HEADER, read_results_csv
 
 
 def read_lines(path):
@@ -150,3 +150,20 @@ class TestSummarizeCommand:
         with pytest.raises(SystemExit) as exc:
             main(["summarize", "--out", str(tmp_path / "nothing")])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("run_id,channel\nx,none\n", "unexpected header"),
+            (CSV_HEADER + "\n", "holds no runs"),
+        ],
+        ids=["bad-header", "header-only"],
+    )
+    def test_bad_results_exits_2_without_summary(self, tmp_path, capsys, text, message):
+        (tmp_path / "results.csv").write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "results.csv" in err and message in err
+        assert not (tmp_path / "summary.csv").exists()

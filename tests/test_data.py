@@ -83,6 +83,53 @@ class TestLoadFromFile:
         with pytest.raises(ValueError, match="malformed"):
             load_iris_binary(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected(self, tmp_path, value):
+        path = self._write(
+            tmp_path, f"5.1,3.5,1.4,0.2,Iris-setosa\n7.0,3.2,4.7,{value},Iris-versicolor\n"
+        )
+        with pytest.raises(ValueError, match="line 2: non-finite feature value"):
+            load_iris_binary(path)
+
+    def test_malformed_virginica_row_rejected(self, tmp_path):
+        # a dropped class is still checked, and the error names its line
+        path = self._write(
+            tmp_path,
+            "5.1,3.5,1.4,0.2,Iris-setosa\n"
+            "7.0,3.2,4.7,1.4,Iris-versicolor\n"
+            "6.3,3.3,6.x,2.5,Iris-virginica\n",
+        )
+        with pytest.raises(ValueError, match="line 3: malformed numeric field"):
+            load_iris_binary(path)
+
+    def test_padded_fields_and_mixed_case_species(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            " 5.1 , 3.5 , 1.4 , 0.2 , IRIS-SETOSA \n"
+            "7.0,3.2,\t4.7,1.4 ,Iris-Versicolor\n"
+            "6.3, 3.3,6.0,2.5,  iris-VIRGINICA\n",
+        )
+        ds = load_iris_binary(path)
+        np.testing.assert_array_equal(ds.features, [[1.4, 0.2], [4.7, 1.4]])
+        np.testing.assert_array_equal(ds.labels, [-1, 1])
+
+    def test_blank_and_whitespace_lines_skipped(self, tmp_path):
+        path = self._write(
+            tmp_path,
+            "\n   \n5.1,3.5,1.4,0.2,Iris-setosa\n\t\n\n7.0,3.2,4.7,1.4,Iris-versicolor\n  \n",
+        )
+        ds = load_iris_binary(path)
+        np.testing.assert_array_equal(ds.labels, [-1, 1])
+
+    @pytest.mark.parametrize(
+        "row, count",
+        [("5.1,3.5,1.4,Iris-setosa", 4), ("5.1,3.5,1.4,0.2,Iris-setosa,1", 6)],
+    )
+    def test_wrong_column_count_rejected(self, tmp_path, row, count):
+        path = self._write(tmp_path, f"7.0,3.2,4.7,1.4,Iris-versicolor\n{row}\n")
+        with pytest.raises(ValueError, match=f"line 2: expected 5 columns, got {count}"):
+            load_iris_binary(path)
+
 
 class TestPreprocess:
     def test_endpoints_and_midpoint(self):

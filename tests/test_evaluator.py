@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from noisyvqc import evaluator
 from noisyvqc.channels import ChannelKind
 from noisyvqc.circuit import AnsatzConfig, cnot_matrix, param_shape
 from noisyvqc.evaluator import (
@@ -160,6 +161,68 @@ class TestAgainstReferenceSimulator:
         for i in range(6):
             single = ansatz_expectations(features[i : i + 1], params[i : i + 1], cfg)
             assert single[0] == pytest.approx(batch[i], abs=1e-14)
+
+
+def per_layer_reference(features, params, cfg):
+    """Reference evaluator: the encoding through the full Kronecker product,
+    and each layer building its own gates and their adjoint.  ``params`` is
+    a (V, L, 2, 3) stack."""
+    batch, n_tensors = len(features), len(params)
+    rows = batch // n_tensors
+    tail_t = static_layer_superop(cfg).T
+    enc = kron_batch(rx_matrices(features[:, 0]), rx_matrices(features[:, 1]))
+    col = enc[:, :, 0]
+    rho = col[:, :, None] * col.conj()[:, None, :]
+    for layer in range(cfg.n_layers):
+        u = kron_batch(rot_matrices(params[:, layer, 0, :]), rot_matrices(params[:, layer, 1, :]))
+        grouped = rho.reshape(n_tensors, rows, 4, 4).transpose(0, 2, 1, 3)
+        left = u @ grouped.reshape(n_tensors, 4, 4 * rows)
+        out = left.reshape(n_tensors, 4 * rows, 4) @ u.conj().swapaxes(-1, -2)
+        rho = out.reshape(n_tensors, 4, rows, 4).transpose(0, 2, 1, 3)
+        rho = (rho.reshape(batch, 16) @ tail_t).reshape(batch, 4, 4)
+    z = rho[:, 0, 0] + rho[:, 1, 1] - rho[:, 2, 2] - rho[:, 3, 3]
+    return z.real
+
+
+class TestOneGateBuild:
+    @pytest.mark.parametrize("n_layers", [1, 5])
+    @pytest.mark.parametrize("n_tensors", [1, 3, 6])
+    def test_one_rot_and_one_kron_call(self, monkeypatch, rng, n_layers, n_tensors):
+        # B = 6 rows: V = 1, V a proper divisor of B, V = B
+        calls = {"rot_matrices": 0, "kron_batch": 0}
+
+        def counted(name):
+            original = getattr(evaluator, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluator, name, counted(name))
+        cfg = AnsatzConfig(channel=ChannelKind.BIT_FLIP, probability=0.2, n_layers=n_layers)
+        features = rng.uniform(0, np.pi, size=(6, 2))
+        params = rng.normal(size=(n_tensors,) + param_shape(cfg))
+        evaluator.ansatz_expectations(features, params, cfg)
+        assert calls == {"rot_matrices": 1, "kron_batch": 1}
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_bits_equal_per_layer_loop(self, rng, kind):
+        for _ in range(8):
+            cfg = AnsatzConfig(
+                channel=kind, probability=float(rng.uniform()), n_layers=int(rng.integers(1, 6))
+            )
+            batch = int(rng.choice([1, 5, 12, 100]))
+            n_tensors = int(rng.choice([v for v in (1, 2, 3, 4, 5, batch) if batch % v == 0]))
+            features = rng.uniform(0, np.pi, size=(batch, 2))
+            features[::7, 0] = np.pi / 2
+            scale = rng.choice([1e-7, 1.0])
+            params = rng.normal(scale=scale, size=(n_tensors,) + param_shape(cfg))
+            fast = ansatz_expectations(features, params, cfg)
+            slow = per_layer_reference(features, params, cfg)
+            assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
 
 class TestValidation:
