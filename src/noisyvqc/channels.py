@@ -62,6 +62,11 @@ class SettingError(ValueError):
         super().__init__(f"{field}: {reason}")
         self.field, self.reason = field, reason
 
+    def __reduce__(self):
+        # rebuild from (field, reason), not from the joined message in
+        # ``args``, so the error survives a process pool's pickling
+        return type(self), (self.field, self.reason)
+
 
 def check_probability(probability: float, field: str = "probability") -> float:
     """``probability`` as a float, or :class:`SettingError` under ``field`` if

@@ -71,7 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--prob", type=float, default=0.0, help="channel probability in [0, 1]")
     run_p.add_argument("--seed", type=int, default=1, help="run seed")
     _add_training_flags(run_p)
-    run_p.set_defaults(handler=_cmd_run, parser=run_p)
+    run_flags = {**_FLAGS, "probabilities": "--prob", "probability": "--prob", "seeds": "--seed"}
+    run_p.set_defaults(handler=_cmd_run, parser=run_p, flags=run_flags)
 
     sweep_p = sub.add_parser("sweep", help="run the noise grid plus noise-free baselines")
     sweep_p.add_argument(
@@ -87,41 +88,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument("--workers", type=int, default=None, help="parallel worker processes")
     _add_training_flags(sweep_p)
-    sweep_p.set_defaults(handler=_cmd_sweep, parser=sweep_p)
+    sweep_p.set_defaults(handler=_cmd_sweep, parser=sweep_p, flags=_FLAGS)
 
     sum_p = sub.add_parser("summarize", help="recompute summary.csv from results.csv")
     sum_p.add_argument("--out", metavar="DIR", default="results", help="directory holding results.csv")
-    sum_p.set_defaults(handler=_cmd_summarize, parser=sum_p)
+    sum_p.set_defaults(handler=_cmd_summarize, parser=sum_p, flags={})
     return parser
 
 
-def _sweep_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, flags: dict[str, str], **grid
-) -> SweepConfig:
-    """The grid plus the training flags; a rejected value exits through ``parser.error``
-    naming its flag, ``flags[field]`` or else ``--<field>``."""
-    try:
-        training = TrainSettings(
-            steps=args.steps, batch_size=args.batch, learning_rate=args.lr, momentum=args.momentum
-        )
-        return SweepConfig(
-            **grid,
-            training=training,
-            n_layers=args.layers,
-            data_path=args.data,
-            out_dir=args.out,
-        )
-    except SettingError as exc:
-        parser.error(f"argument {flags.get(exc.field, '--' + exc.field)}: {exc.reason}")
+def _sweep_config(args: argparse.Namespace, **grid) -> SweepConfig:
+    """The grid plus the training flags."""
+    training = TrainSettings(
+        steps=args.steps, batch_size=args.batch, learning_rate=args.lr, momentum=args.momentum
+    )
+    return SweepConfig(
+        **grid, training=training, n_layers=args.layers, data_path=args.data, out_dir=args.out
+    )
 
 
 def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     channel = ChannelKind(args.channel)
     # no channels: a noise-free run would share the baseline's run id
-    flags = {**_FLAGS, "probabilities": "--prob", "seeds": "--seed"}
-    config = _sweep_config(
-        parser, args, flags, channels=(), probabilities=(args.prob,), seeds=(args.seed,)
-    )
+    config = _sweep_config(args, channels=(), probabilities=(args.prob,), seeds=(args.seed,))
     record = execute_run(channel, args.prob, args.seed, **config.run_settings())
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, run_filename(channel, args.prob, args.seed))
@@ -133,9 +121,7 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def _cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = _sweep_config(
-        parser,
         args,
-        _FLAGS,
         channels=tuple(ChannelKind(c) for c in args.channels),
         probabilities=tuple(args.probs),
         seeds=tuple(args.seeds),
@@ -173,8 +159,14 @@ def _cmd_summarize(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run a subcommand.  A :class:`SettingError` -- raised before any file
+    is written -- exits 2 through ``parser.error``, naming the flag that
+    holds the rejected value: ``args.flags[field]``, else ``--<field>``."""
     args = _build_parser().parse_args(argv)
-    return args.handler(args.parser, args)
+    try:
+        return args.handler(args.parser, args)
+    except SettingError as exc:
+        args.parser.error(f"argument {args.flags.get(exc.field, '--' + exc.field)}: {exc.reason}")
 
 
 if __name__ == "__main__":

@@ -131,23 +131,43 @@ def preprocess(features: np.ndarray, stats: PreprocessStats) -> np.ndarray:
     return np.clip(scaled, 0.0, 1.0) * ANGLE_MAX
 
 
+def _train_share(count: int) -> int:
+    """Samples of a class of ``count`` that go to the training side."""
+    return math.ceil(TRAIN_FRACTION * count)
+
+
+def check_split(dataset: Dataset) -> None:
+    """Raise ``ValueError`` if :func:`split` would leave a side empty.
+
+    The sides' sizes depend only on the class counts, so one check covers
+    every seed.
+    """
+    counts = [int(np.count_nonzero(dataset.labels == label)) for label in (-1, 1)]
+    n_train = sum(_train_share(count) for count in counts)
+    if not 0 < n_train < sum(counts):
+        raise ValueError(
+            f"classes of {counts[0]} and {counts[1]} rows split into {n_train} training "
+            f"and {sum(counts) - n_train} validation rows; neither side may be empty"
+        )
+
+
 def split(dataset: Dataset, seed: int = 0) -> tuple[Dataset, Dataset]:
     """Stratified train/validation split, deterministic for a given seed.
 
     Each class contributes ``ceil(TRAIN_FRACTION * count)`` samples to the
-    training side.
+    training side; :func:`check_split` rejects a dataset that would leave
+    a side empty.
     """
+    check_split(dataset)
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     val_idx: list[int] = []
     for label in (-1, 1):
         members = np.flatnonzero(dataset.labels == label)
         perm = rng.permutation(members)
-        n_train = math.ceil(TRAIN_FRACTION * len(members))
+        n_train = _train_share(len(members))
         train_idx.extend(perm[:n_train])
         val_idx.extend(perm[n_train:])
-    if not train_idx or not val_idx:
-        raise ValueError("split produced an empty side")
     train_idx = np.sort(np.array(train_idx))
     val_idx = np.sort(np.array(val_idx))
     return (

@@ -28,7 +28,7 @@ import numpy as np
 
 from .channels import NOISY_KINDS, ChannelKind, SettingError, check_probability
 from .circuit import DEFAULT_LAYERS, AnsatzConfig
-from .data import Dataset, feature_stats, load_iris_binary, preprocess, split
+from .data import Dataset, check_split, feature_stats, load_iris_binary, preprocess, split
 from .svg import emit_svg
 from .training import RunRecord, StepRecord, TrainSettings, train
 
@@ -50,6 +50,21 @@ def _check_run_inputs(seeds: Sequence[int], data_path: str | None) -> None:
             raise SettingError("seeds", f"must be non-negative, got {seed}")
     if data_path is not None and not os.path.isfile(data_path):
         raise SettingError("data_path", f"no such file: {data_path}")
+
+
+def load_dataset(data_path: str | None) -> Dataset:
+    """The dataset of a sweep or a run, parsed and checked once before any run.
+
+    A file that does not parse, holds fewer than two classes, or whose
+    split would leave a side empty (:func:`data.check_split`, the same
+    for every seed) raises :class:`SettingError` under ``data_path``.
+    """
+    try:
+        dataset = load_iris_binary(data_path)
+        check_split(dataset)
+    except ValueError as exc:
+        raise SettingError("data_path", str(exc)) from exc
+    return dataset
 
 
 @dataclass(frozen=True)
@@ -127,14 +142,18 @@ def execute_run(
     """Load, split, preprocess, and train one configuration end to end.
 
     ``training`` holds :class:`TrainSettings` fields; the settings, the
-    seed and the data path are checked before any data is read.  The run
-    seed drives the stratified split as well as the training RNG, so a
-    (channel, probability, seed) triple pins the entire run.
+    seed and the data path are checked before any data is read, and the
+    data by :func:`load_dataset` before training.  A noise-free run must
+    have probability 0, or its output would carry another cell's label.
+    The run seed drives the stratified split as well as the training
+    RNG, so a (channel, probability, seed) triple pins the entire run.
     """
     settings = TrainSettings(**training)
     config = AnsatzConfig(channel=channel, probability=probability, n_layers=n_layers)
+    if channel is ChannelKind.NONE and config.probability != 0.0:
+        raise SettingError("probability", f"must be 0 for channel none, got {probability:g}")
     _check_run_inputs((seed,), data_path)
-    return _train_on(load_iris_binary(data_path), config, settings, seed)
+    return _train_on(load_dataset(data_path), config, settings, seed)
 
 
 def _train_on(
@@ -157,12 +176,13 @@ def _train_on(
 def run_sweep(config: SweepConfig, progress=None) -> list[RunRecord]:
     """Execute every run of the sweep, in parallel up to ``workers``.
 
-    The data file is parsed once and the dataset handed to every run.
+    The data file is parsed and checked once (:func:`load_dataset`) and
+    the dataset handed to every run.
     The returned list follows ``config.run_specs()`` order regardless of
     scheduling, so downstream output is deterministic.
     """
     specs = config.run_specs()
-    dataset = load_iris_binary(config.data_path)
+    dataset = load_dataset(config.data_path)
     configs = [
         AnsatzConfig(channel=ch, probability=p, n_layers=config.n_layers) for ch, p, _ in specs
     ]

@@ -81,8 +81,13 @@ def _shift_rule(features, params, config: AnsatzConfig) -> tuple[np.ndarray, np.
     The one implementation of the shift rule.  All (2P + 1) x B variants
     run as a single evaluator batch with variant-major rows: variant 0 is
     unshifted, variants 1 + 2i and 2 + 2i shift flat parameter i by +pi/2
-    and -pi/2, and each variant's tensor serves the B consecutive rows of
-    the whole sample batch, so the evaluator builds one gate per variant.
+    and -pi/2, and each variant's tensor serves the B rows of the whole
+    sample batch, tiled once per variant.  This is the evaluator's trunk
+    and branch stack: variant 0 is the trunk, and flat parameters run
+    layer by layer, so each variant differs from it in one layer, in
+    non-decreasing layer order.  The evaluator computes every state
+    before a variant's shifted layer once, on the trunk, and builds L
+    gates plus one per variant.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     params = np.asarray(params, dtype=float)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from noisyvqc.channels import (
     NOISY_KINDS,
     ChannelKind,
     KrausChannel,
+    SettingError,
     apply_channel,
     build_channel,
     embed_kraus,
@@ -200,3 +203,11 @@ class TestSerialization:
             "amplitude-damping",
             "depolarizing",
         }
+
+
+class TestSettingError:
+    def test_survives_pickling(self):
+        # a process pool pickles an error raised in a worker
+        error = pickle.loads(pickle.dumps(SettingError("data_path", "x")))
+        assert isinstance(error, SettingError)
+        assert (error.field, error.reason, str(error)) == ("data_path", "x", "data_path: x")

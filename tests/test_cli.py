@@ -63,6 +63,8 @@ class TestTrainingFlagValidation:
             ["run", "--channel", "bit-flip", "--prob", "1.5"],
             ["run", "--channel", "none", "--seed", "-1"],
             ["run", "--channel", "none", "--data", "missing.csv"],
+            # a noise-free run labelled p = 0.5
+            ["run", "--channel", "none", "--prob", "0.5"],
             ["sweep", "--steps", "0"],
             ["sweep", "--batch", "0"],
             ["sweep", "--layers", "0"],
@@ -92,6 +94,35 @@ class TestTrainingFlagValidation:
         # the last flag of each case holds the rejected value
         flag = [a for a in argv if a.startswith("--")][-1]
         assert f"error: argument {flag}:" in err
+
+
+class TestBadDataFile:
+    @pytest.mark.parametrize("command", [["run", "--channel", "none"], ["sweep", "--workers", "1"]])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5.1,3.5,1.4,0.2,Iris-setosa\n" * 5, "fewer than 2 classes"),
+            ("5.1,3.5,1.4,0.2,Iris-setosa\n1.4,0.2\n", "line 2: expected 5 columns, got 2"),
+            # 3 rows per class all go to the training side
+            (
+                "5.1,3.5,1.4,0.2,Iris-setosa\n" * 3 + "7.0,3.2,4.7,1.4,Iris-versicolor\n" * 3,
+                "neither side may be empty",
+            ),
+        ],
+        ids=["one-class", "two-columns", "empty-validation-side"],
+    )
+    def test_exits_2_without_output(self, tmp_path, capsys, command, text, message):
+        data = tmp_path / "iris.csv"
+        data.write_text(text)
+        out = tmp_path / "out"
+        argv = command + ["--steps", "2", "--data", str(data), "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"usage: noisyvqc {command[0]}" in err
+        assert "error: argument --data:" in err and message in err
 
 
 class TestSweepCommand:

@@ -5,6 +5,7 @@ import pytest
 
 from noisyvqc.data import (
     Dataset,
+    check_split,
     feature_stats,
     load_iris_binary,
     preprocess,
@@ -210,3 +211,19 @@ class TestSplit:
         ds = Dataset(features=np.array([[0.0, 0], [1, 0]]), labels=np.array([-1, 1]))
         with pytest.raises(ValueError, match="empty"):
             split(ds, seed=0)
+
+    @pytest.mark.parametrize("counts", [(1, 1), (3, 3), (1, 3), (2, 0)])
+    def test_check_split_rejects_every_seed_alike(self, counts):
+        # the sides' sizes depend only on the class counts: at most 3 rows
+        # per class leave the validation side empty for every seed
+        labels = np.array([-1] * counts[0] + [1] * counts[1])
+        ds = Dataset(features=np.zeros((len(labels), 2)), labels=labels)
+        with pytest.raises(ValueError, match="neither side may be empty"):
+            check_split(ds)
+        for seed in range(3):
+            with pytest.raises(ValueError, match="neither side may be empty"):
+                split(ds, seed=seed)
+
+    def test_check_split_accepts_four_rows_in_one_class(self):
+        labels = np.array([-1, -1, -1, -1, 1])
+        check_split(Dataset(features=np.zeros((5, 2)), labels=labels))

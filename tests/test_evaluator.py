@@ -107,15 +107,48 @@ class TestSuperops:
         np.testing.assert_allclose(vec_out.reshape(4, 4), u @ rho @ u.conj().T, atol=1e-14)
 
 
+def branch_stack(trunk, layers, values):
+    """(V, L, 2, 3) stack: ``trunk``, then one tensor per entry of ``layers``
+    whose layer ``layers[j]`` is replaced by ``values[j]`` (shape (2, 3))."""
+    stack = np.repeat(trunk[None], len(layers) + 1, axis=0)
+    for v, (layer, value) in enumerate(zip(layers, values), start=1):
+        stack[v, layer] = value
+    return stack
+
+
+def shift_stack(trunk):
+    """The (2P + 1, L, 2, 3) stack of ``training._shift_rule``: the trunk, then
+    flat parameter i shifted by +pi/2 and by -pi/2, for i = 0 ... P - 1."""
+    flat = np.tile(trunk.reshape(-1), (2 * trunk.size + 1, 1))
+    idx = np.arange(trunk.size)
+    flat[1 + 2 * idx, idx] += np.pi / 2
+    flat[2 + 2 * idx, idx] -= np.pi / 2
+    return flat.reshape((-1,) + trunk.shape)
+
+
+def random_branch_stack(rng, cfg, n_branches, scale=1.0):
+    """A random trunk and ``n_branches`` one-layer branches at sorted random layers."""
+    trunk = rng.normal(scale=scale, size=param_shape(cfg))
+    layers = np.sort(rng.integers(0, cfg.n_layers, size=n_branches))
+    values = rng.normal(scale=scale, size=(n_branches, 2, 3))
+    return branch_stack(trunk, layers, values)
+
+
 class TestAgainstReferenceSimulator:
     @pytest.mark.parametrize("kind", list(ChannelKind))
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_matches_kraus_fold(self, rng, kind, p):
         cfg = AnsatzConfig(channel=kind, probability=p, n_layers=3)
+        # a trunk and four one-layer branches over 2 tiled feature rows
+        trunk_rows = rng.uniform(0, np.pi, size=(2, 2))
+        params = random_branch_stack(rng, cfg, 4, scale=1.5)
+        fast = ansatz_expectations(np.tile(trunk_rows, (5, 1)), params, cfg)
+        reference = [run(ansatz_kraus_sets(x, tensor, cfg)) for tensor in params for x in trunk_rows]
+        np.testing.assert_allclose(fast, reference, atol=1e-12)
+        # one shared tensor over random features
         features = rng.uniform(0, np.pi, size=(4, 2))
-        params = rng.normal(scale=1.5, size=(4,) + param_shape(cfg))
-        fast = ansatz_expectations(features, params, cfg)
-        reference = [run(ansatz_kraus_sets(features[i], params[i], cfg)) for i in range(4)]
+        fast = ansatz_expectations(features, params[0], cfg)
+        reference = [run(ansatz_kraus_sets(x, params[0], cfg)) for x in features]
         np.testing.assert_allclose(fast, reference, atol=1e-12)
 
     @settings(derandomize=True, deadline=None, database=None)
@@ -123,43 +156,53 @@ class TestAgainstReferenceSimulator:
         kind=st.sampled_from(list(ChannelKind)),
         p=st.floats(0.0, 1.0),
         n_layers=st.integers(1, 5),
-        n_tensors=st.sampled_from([1, 2, 4]),
+        rows=st.integers(1, 2),
         data=st.data(),
     )
-    def test_matches_kraus_fold_property(self, kind, p, n_layers, n_tensors, data):
-        # 4 rows served by n_tensors parameter tensors, each by 4 // n_tensors rows
+    def test_matches_kraus_fold_property(self, kind, p, n_layers, rows, data):
+        # a trunk and 0-4 one-layer branches, each serving the trunk's rows
         cfg = AnsatzConfig(channel=kind, probability=p, n_layers=n_layers)
         angles = st.floats(-10.0, 10.0)
-        features = data.draw(arrays(float, (4, 2), elements=angles), label="features")
-        params = data.draw(
-            arrays(float, (n_tensors,) + param_shape(cfg), elements=angles), label="params"
+        trunk_rows = data.draw(arrays(float, (rows, 2), elements=angles), label="features")
+        trunk = data.draw(arrays(float, param_shape(cfg), elements=angles), label="trunk")
+        layers = sorted(
+            data.draw(st.lists(st.integers(0, n_layers - 1), max_size=4), label="layers")
         )
-        fast = ansatz_expectations(features, params, cfg)
-        rows = 4 // n_tensors
-        reference = [run(ansatz_kraus_sets(features[i], params[i // rows], cfg)) for i in range(4)]
+        values = data.draw(arrays(float, (len(layers), 2, 3), elements=angles), label="values")
+        params = branch_stack(trunk, layers, values)
+        fast = ansatz_expectations(np.tile(trunk_rows, (len(params), 1)), params, cfg)
+        reference = [run(ansatz_kraus_sets(x, tensor, cfg)) for tensor in params for x in trunk_rows]
         np.testing.assert_allclose(fast, reference, atol=1e-12)
 
     def test_shared_params_broadcast(self, rng):
-        # V tensors for B = 6 rows give the bits of the explicit per-row stack:
-        # shared (V = 1, also in the (L, 2, 3) form), a proper divisor, V = B
+        # each tensor of a shift stack has the bits of its own shared-params
+        # call, in the (L, 2, 3) form and as a stack of one
         cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.3, n_layers=2)
-        features = rng.uniform(0, np.pi, size=(6, 2))
-        for n_tensors in (1, 2, 6):
-            params = rng.normal(size=(n_tensors,) + param_shape(cfg))
-            per_row = ansatz_expectations(features, np.repeat(params, 6 // n_tensors, axis=0), cfg)
-            np.testing.assert_array_equal(ansatz_expectations(features, params, cfg), per_row)
-            if n_tensors == 1:
-                shared = ansatz_expectations(features, params[0], cfg)
-                np.testing.assert_array_equal(shared, per_row)
+        trunk_rows = rng.uniform(0, np.pi, size=(3, 2))
+        params = shift_stack(rng.normal(size=param_shape(cfg)))
+        stacked = ansatz_expectations(np.tile(trunk_rows, (len(params), 1)), params, cfg)
+        for v, tensor in enumerate(params):
+            shared = ansatz_expectations(trunk_rows, tensor, cfg)
+            np.testing.assert_array_equal(stacked[3 * v : 3 * v + 3], shared)
+            np.testing.assert_array_equal(ansatz_expectations(trunk_rows, tensor[None], cfg), shared)
 
     def test_row_independence(self, rng):
-        # each row's value is unaffected by the rest of the batch
-        cfg = AnsatzConfig(channel=ChannelKind.PHASE_DAMPING, probability=0.6, n_layers=2)
+        # each tensor's rows are unaffected by the other tensors, including
+        # branches sharing a layer and a branch equal to the trunk; each row
+        # of a shared call is unaffected by the other rows
+        cfg = AnsatzConfig(channel=ChannelKind.PHASE_DAMPING, probability=0.6, n_layers=3)
+        trunk_rows = rng.uniform(0, np.pi, size=(2, 2))
+        trunk = rng.normal(size=param_shape(cfg))
+        params = branch_stack(trunk, [0, 1, 1, 1, 2], rng.normal(size=(5, 2, 3)))
+        params[3] = trunk
+        stacked = ansatz_expectations(np.tile(trunk_rows, (len(params), 1)), params, cfg)
+        for v, tensor in enumerate(params):
+            shared = ansatz_expectations(trunk_rows, tensor, cfg)
+            np.testing.assert_array_equal(stacked[2 * v : 2 * v + 2], shared)
         features = rng.uniform(0, np.pi, size=(6, 2))
-        params = rng.normal(size=(6,) + param_shape(cfg))
-        batch = ansatz_expectations(features, params, cfg)
+        batch = ansatz_expectations(features, trunk, cfg)
         for i in range(6):
-            single = ansatz_expectations(features[i : i + 1], params[i : i + 1], cfg)
+            single = ansatz_expectations(features[i : i + 1], trunk, cfg)
             assert single[0] == pytest.approx(batch[i], abs=1e-14)
 
 
@@ -186,9 +229,9 @@ def per_layer_reference(features, params, cfg):
 
 class TestOneGateBuild:
     @pytest.mark.parametrize("n_layers", [1, 5])
-    @pytest.mark.parametrize("n_tensors", [1, 3, 6])
-    def test_one_rot_and_one_kron_call(self, monkeypatch, rng, n_layers, n_tensors):
-        # B = 6 rows: V = 1, V a proper divisor of B, V = B
+    @pytest.mark.parametrize("rows", [1, 3, 6])
+    def test_one_rot_and_one_kron_call(self, monkeypatch, rng, n_layers, rows):
+        # a shift stack over 1, 3 or 6 tiled feature rows, and a readout
         calls = {"rot_matrices": 0, "kron_batch": 0}
 
         def counted(name):
@@ -203,10 +246,12 @@ class TestOneGateBuild:
         for name in calls:
             monkeypatch.setattr(evaluator, name, counted(name))
         cfg = AnsatzConfig(channel=ChannelKind.BIT_FLIP, probability=0.2, n_layers=n_layers)
-        features = rng.uniform(0, np.pi, size=(6, 2))
-        params = rng.normal(size=(n_tensors,) + param_shape(cfg))
+        params = shift_stack(rng.normal(size=param_shape(cfg)))
+        features = np.tile(rng.uniform(0, np.pi, size=(rows, 2)), (len(params), 1))
         evaluator.ansatz_expectations(features, params, cfg)
         assert calls == {"rot_matrices": 1, "kron_batch": 1}
+        evaluator.ansatz_expectations(features, params[0], cfg)
+        assert calls == {"rot_matrices": 2, "kron_batch": 2}
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
     def test_bits_equal_per_layer_loop(self, rng, kind):
@@ -214,15 +259,44 @@ class TestOneGateBuild:
             cfg = AnsatzConfig(
                 channel=kind, probability=float(rng.uniform()), n_layers=int(rng.integers(1, 6))
             )
-            batch = int(rng.choice([1, 5, 12, 100]))
-            n_tensors = int(rng.choice([v for v in (1, 2, 3, 4, 5, batch) if batch % v == 0]))
-            features = rng.uniform(0, np.pi, size=(batch, 2))
-            features[::7, 0] = np.pi / 2
+            rows = int(rng.choice([1, 5, 7]))
+            trunk_rows = rng.uniform(0, np.pi, size=(rows, 2))
+            trunk_rows[::3, 0] = np.pi / 2
             scale = rng.choice([1e-7, 1.0])
-            params = rng.normal(scale=scale, size=(n_tensors,) + param_shape(cfg))
+            params = shift_stack(rng.normal(scale=scale, size=param_shape(cfg)))
+            features = np.tile(trunk_rows, (len(params), 1))
             fast = ansatz_expectations(features, params, cfg)
             slow = per_layer_reference(features, params, cfg)
             assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+            # a readout: one shared tensor over B random rows
+            batch = int(rng.choice([1, 5, 100]))
+            features = rng.uniform(0, np.pi, size=(batch, 2))
+            features[::7, 0] = np.pi / 2
+            fast = ansatz_expectations(features, params[0], cfg)
+            slow = per_layer_reference(features, params[:1], cfg)
+            assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+
+    def test_work_count(self, monkeypatch, rng):
+        # k rows are encoded, and L + V - 1 gates are built
+        seen = {"rx_matrices": [], "rot_matrices": []}
+
+        def recorded(name):
+            original = getattr(evaluator, name)
+
+            def wrapper(angles):
+                seen[name].append(np.shape(angles))
+                return original(angles)
+
+            return wrapper
+
+        for name in seen:
+            monkeypatch.setattr(evaluator, name, recorded(name))
+        cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.1, n_layers=5)
+        params = shift_stack(rng.normal(size=param_shape(cfg)))
+        features = np.tile(rng.uniform(0, np.pi, size=(5, 2)), (len(params), 1))
+        evaluator.ansatz_expectations(features, params, cfg)
+        assert len(params) == 61
+        assert seen == {"rx_matrices": [(5,), (5,)], "rot_matrices": [(5 + 61 - 1, 2, 3)]}
 
 
 class TestValidation:
@@ -237,3 +311,26 @@ class TestValidation:
         for shape in [(3, 2, 3), (2, 1, 2, 3), (0, 2, 2, 3), (3, 2, 2, 3)]:
             with pytest.raises(ValueError, match="params shape"):
                 ansatz_expectations(np.zeros((4, 2)), np.zeros(shape), cfg)
+
+    def test_branch_differing_in_two_layers(self, rng):
+        cfg = AnsatzConfig(n_layers=3)
+        params = random_branch_stack(rng, cfg, 2)
+        params[2, 0] += 1.0
+        params[2, 2] += 1.0
+        with pytest.raises(ValueError, match="at most one layer"):
+            ansatz_expectations(np.zeros((6, 2)), params, cfg)
+
+    def test_branches_out_of_layer_order(self, rng):
+        cfg = AnsatzConfig(n_layers=3)
+        trunk = rng.normal(size=param_shape(cfg))
+        params = branch_stack(trunk, [0, 2, 1], rng.normal(size=(3, 2, 3)))
+        with pytest.raises(ValueError, match="must not decrease"):
+            ansatz_expectations(np.zeros((8, 2)), params, cfg)
+
+    def test_untiled_features(self, rng):
+        cfg = AnsatzConfig(n_layers=2)
+        params = random_branch_stack(rng, cfg, 1)
+        features = np.tile(rng.uniform(0, np.pi, size=(2, 2)), (2, 1))
+        features[3, 1] += 0.1
+        with pytest.raises(ValueError, match="tiled"):
+            ansatz_expectations(features, params, cfg)

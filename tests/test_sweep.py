@@ -101,8 +101,34 @@ class TestExecuteRun:
             execute_run(ChannelKind.NONE, 0.0, seed, data_path=data_path)
         assert exc.value.field == field
 
+    def test_rejects_noise_free_run_with_a_probability(self, monkeypatch):
+        # its output would carry the label of a p = 0.5 cell
+        monkeypatch.setattr(sweep, "load_iris_binary", lambda *a: pytest.fail("data was read"))
+        with pytest.raises(SettingError, match="must be 0 for channel none") as exc:
+            execute_run(ChannelKind.NONE, 0.5, 1)
+        assert exc.value.field == "probability"
+
+    def test_rejects_unsplittable_data_before_training(self, tmp_path, monkeypatch):
+        data = tmp_path / "iris.csv"
+        data.write_text("5.1,3.5,1.4,0.2,Iris-setosa\n7.0,3.2,4.7,1.4,Iris-versicolor\n")
+        monkeypatch.setattr(sweep, "train", lambda *a, **k: pytest.fail("a run started"))
+        with pytest.raises(SettingError, match="neither side may be empty") as exc:
+            execute_run(ChannelKind.NONE, 0.0, 1, data_path=str(data))
+        assert exc.value.field == "data_path"
+
 
 class TestRunSweep:
+    def test_checks_the_data_before_any_run(self, tmp_path, monkeypatch):
+        data = tmp_path / "iris.csv"
+        data.write_text("5.1,3.5,1.4,0.2,Iris-setosa\n7.0,3.2,4.7,1.4,Iris-versicolor\n")
+        monkeypatch.setattr(sweep, "train", lambda *a, **k: pytest.fail("a run started"))
+        config = SweepConfig(
+            channels=(ChannelKind.BIT_FLIP,), probabilities=(0.5,), seeds=(1, 2),
+            data_path=str(data), out_dir=str(tmp_path / "out"), workers=1,
+        )
+        with pytest.raises(SettingError, match="neither side may be empty"):
+            run_sweep(config)
+
     def test_spec_order_and_count(self, tmp_path):
         config = tiny_config(tmp_path)
         records = run_sweep(config)
