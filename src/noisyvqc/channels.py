@@ -70,11 +70,12 @@ class SettingError(ValueError):
 
 def check_probability(probability: float, field: str = "probability") -> float:
     """``probability`` as a float, or :class:`SettingError` under ``field`` if
-    it lies outside [0, 1]; the one copy of this rule."""
+    it lies outside [0, 1]; the one copy of this rule.  -0.0 comes back as
+    0.0, since run ids would print it as a second label, "-0"."""
     p = float(probability)
     if not 0.0 <= p <= 1.0:
         raise SettingError(field, f"{probability} outside [0, 1]")
-    return p
+    return abs(p)
 
 
 @dataclass(frozen=True)

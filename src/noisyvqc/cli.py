@@ -112,7 +112,7 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     config = _sweep_config(args, channels=(), probabilities=(args.prob,), seeds=(args.seed,))
     record = execute_run(channel, args.prob, args.seed, **config.run_settings())
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, run_filename(channel, args.prob, args.seed))
+    path = os.path.join(args.out, run_filename(channel, record.probability, args.seed))
     write_results_csv(path, [record])
     final = record.final_val_accuracy()
     print(f"wrote {path} ({len(record.steps)} steps, final val acc {final:.3f})")

@@ -1,34 +1,29 @@
 """Vectorized evaluation of the classifier ansatz over sample batches.
 
-Training needs thousands of circuit evaluations per step (61 shifted
-evaluations per sample for gradients, plus full-split accuracy
-readouts).  Evolving one 4x4 density matrix per Python-level call is
-dominated by interpreter overhead, so this module evolves a whole stack
-of density matrices at once and collapses every fixed sub-sequence of
-instructions ahead of time:
+Training needs a parameter-shift gradient (61 shifted evaluations per
+sample) and a full-split accuracy readout at every step.  One call of
+``ansatz_expectations`` evaluates either a single parameter tensor over
+B rows (a readout) or a trunk tensor with one-layer branches over the
+trunk's k rows (a gradient), and each has its own path:
 
-* the two Rot gates of each layer act on different qubits, so their
-  product is a single Kronecker factor applied as one batched
-  conjugation, and the encoded state is the outer product of the two
-  encoding RX gates' first columns;
-* a call evaluates one trunk parameter tensor and its branches: a
-  readout is the trunk alone over all its rows, and a parameter-shift
-  gradient is the unshifted trunk plus 2P shift variants, each of which
-  copies the trunk in every layer but one.  A branch has the trunk's
-  exact state until its own layer, so it comes off the trunk there;
-  the states before are computed once.  A call builds L + V - 1 gates
-  in one go, and at each layer all states that share a gate -- the
-  trunk and the branches already off it -- are conjugated with one
-  matrix product on each side, laid out as (4, n, 4) for n rows;
-* the parameter-free remainder of a layer -- noise on both qubits, the
-  CNOT, noise on both qubits again -- is one 16x16 superoperator acting
-  on row-major vectorized states, built once per ``AnsatzConfig`` and
-  applied as a single matrix product per layer.
-
-Sharing states changes the shapes of the matrix products, never the
-arithmetic of an output element, so every output keeps the bits of one
-conjugation per row and tensor; ``ansatz_expectations`` says why they
-must hold.
+* a readout evolves the B density matrices forward as one stack.  The
+  two Rot gates of a layer act on different qubits, so their product
+  is one Kronecker factor applied as one batched conjugation; the
+  encoded state is the outer product of the two encoding RX gates'
+  first columns; and the parameter-free remainder of a layer -- noise
+  on both qubits, the CNOT, noise on both qubits again -- is one 16x16
+  superoperator on row-major vectorized states
+  (``static_layer_superop``, built once per ``AnsatzConfig``), applied
+  as one matrix product per layer.  These output bits are the ones the
+  benchmark's recorded references pin;
+* a gradient stack works in the Pauli basis, where every map of the
+  circuit is a real matrix acting on 16 Pauli coefficients: a Rot
+  gate's Pauli transfer matrix (PTM) is 1 + SO(3) in closed form
+  (``rot_ptms``), and the tail's is T S T^-1 of the superoperator S.
+  The readout Z x I is pulled back through the trunk once, the trunk
+  rows are pushed forward once, and each branch costs one 16-vector
+  product at its own layer.  These outputs agree with evolving every
+  tensor on its own to rounding (about 1e-15), not bit for bit.
 
 These matrix products have inner dimension 4 or 16, too small for a
 second BLAS thread to pay for itself: on gradient batches it only
@@ -36,10 +31,9 @@ spins, and on a process pool it takes a core from another worker.
 ``one_blas_thread`` caps BLAS at one thread while training runs.
 
 This module is the package's only gate library: a single gate is a
-batch of one, e.g. ``rot_matrices(angles[None])[0]``.  The result is
-identical to folding ``simulator.ansatz_kraus_sets`` through the
-reference oracle ``simulator.run``; the test suite pins the two paths
-together at 1e-12.
+batch of one, e.g. ``rot_matrices(angles[None])[0]``.  Both paths agree
+with folding ``simulator.ansatz_kraus_sets`` through the reference
+oracle ``simulator.run``; the test suite pins them together at 1e-12.
 """
 
 from __future__ import annotations
@@ -52,8 +46,18 @@ import numpy as np
 
 from .channels import ChannelKind, build_channel, embed_kraus
 from .circuit import AnsatzConfig, N_QUBITS, cnot_matrix, param_shape
+from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z
 
 _CNOT = cnot_matrix(0, 1)
+_PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
+
+#: row 4a + b is vec(P^T) for P = sigma_a x sigma_b over (I, X, Y, Z), so
+#: it maps a row-major vec(rho) to the Pauli coefficients Tr(P rho)
+_TO_PAULI = np.einsum("aij,bkl->abjlik", _PAULIS, _PAULIS).reshape(16, 16)
+_FROM_PAULI = _TO_PAULI.conj().T / 4
+#: the readout Z on qubit 0 as a 4x4 Pauli coefficient matrix
+_Z_QUBIT0 = np.zeros((4, 4))
+_Z_QUBIT0[3, 0] = 1.0
 
 #: (get, set) symbol pairs of the OpenBLAS thread count, in lookup order:
 #: the scipy-openblas build bundled with numpy wheels, then system builds
@@ -139,6 +143,32 @@ def rot_matrices(angles: np.ndarray) -> np.ndarray:
     return out
 
 
+def rot_ptms(angles: np.ndarray) -> np.ndarray:
+    """Pauli transfer matrices of Rot gates, shape (B, 3) -> (B, 4, 4), real.
+
+    Entry (j, k) is Tr(sigma_j U sigma_k U^dag) / 2 over (I, X, Y, Z):
+    1 on the identity, and on the Bloch vector the rotation
+    Rz(omega) @ Ry(theta) @ Rz(phi) of SO(3).
+    """
+    angles = np.asarray(angles, dtype=float)
+    cos, sin = np.cos(angles), np.sin(angles)
+    cp, ct, co = cos[..., 0], cos[..., 1], cos[..., 2]
+    sp, st, so = sin[..., 0], sin[..., 1], sin[..., 2]
+    ct_cp, ct_sp = ct * cp, ct * sp
+    out = np.zeros(angles.shape[:-1] + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., 1, 1] = co * ct_cp - so * sp
+    out[..., 1, 2] = -co * ct_sp - so * cp
+    out[..., 1, 3] = co * st
+    out[..., 2, 1] = so * ct_cp + co * sp
+    out[..., 2, 2] = co * cp - so * ct_sp
+    out[..., 2, 3] = so * st
+    out[..., 3, 1] = -st * cp
+    out[..., 3, 2] = st * sp
+    out[..., 3, 3] = ct
+    return out
+
+
 def kron_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Kronecker product of (B, 2, 2) stacks, yielding (B, 4, 4)."""
     return np.einsum("bij,bkl->bikjl", a, b).reshape(-1, 4, 4)
@@ -172,19 +202,26 @@ def static_layer_superop(config: AnsatzConfig) -> np.ndarray:
     return out
 
 
+def pauli_transfer(superop: np.ndarray) -> np.ndarray:
+    """Pauli transfer matrix T S T^-1 of a 16x16 row-major superoperator S.
+
+    Over the coefficients Tr(sigma_a x sigma_b rho), index 4a + b, the
+    map is real for any Hermiticity-preserving S; the complex product is
+    returned, and its imaginary part is rounding.
+    """
+    return _TO_PAULI @ superop @ _FROM_PAULI
+
+
 def _branch_layers(features: np.ndarray, params: np.ndarray) -> np.ndarray:
     """The layer at which each tensor v >= 1 of a (V, L, 2, 3) stack leaves tensor 0.
 
     Returns shape (V - 1,).  Raises ``ValueError`` unless every tensor
     differs from tensor 0 in at most one layer, those layers do not
     decrease with v, and the B = V * k ``features`` are their first k
-    rows tiled V times.  Layers compare by their bits, so a branch
-    shares the trunk's gate only where it would build the same gate.  A
-    tensor equal to tensor 0 leaves at the layer of the tensor before it.
+    rows tiled V times.  Layers compare by their bits.  A tensor equal
+    to tensor 0 leaves at the layer of the tensor before it.
     """
     n_tensors = len(params)
-    if n_tensors == 1:
-        return np.zeros(0, dtype=np.intp)
     rows = len(features) // n_tensors
     if not (features.reshape(n_tensors, rows, -1) == features[:rows]).all():
         raise ValueError(f"features must be their first B / V = {rows} rows tiled V times")
@@ -202,6 +239,50 @@ def _branch_layers(features: np.ndarray, params: np.ndarray) -> np.ndarray:
     return layers
 
 
+def _branch_expectations(
+    features: np.ndarray, params: np.ndarray, layers: np.ndarray, config: AnsatzConfig
+) -> np.ndarray:
+    """<Z> on qubit 0 for a trunk and its one-layer branches, in the Pauli basis.
+
+    ``features`` are the trunk's k rows, ``params`` a (V, L, 2, 3)
+    stack and ``layers`` its branch layers (:func:`_branch_layers`).
+    The Pauli coefficients of a two-qubit state are the 16-vector
+    ``Tr(sigma_a x sigma_b rho)``, held as a 4x4 matrix over (a, b), and
+    every map of the circuit acts on them as a real matrix.  The readout
+    Z x I is pulled back through the trunk's layers once, the trunk
+    rows' coefficients are pushed forward once, and a branch at layer l
+    meets both there: with u_l the readout pulled back to just after
+    layer l's gates and C_l the rows' coefficients just before them, its
+    output is ``(A0^T u_l A1) . C_l`` for the branch's own gate PTMs A0
+    and A1.  Returns shape (V * k,).
+    """
+    rows, n_tensors, n_layers = len(features), len(params), config.n_layers
+    tail = pauli_transfer(static_layer_superop(config)).real
+    ptms = rot_ptms(np.concatenate([params[0], params[np.arange(1, n_tensors), layers]]))
+    a0, a1 = ptms[:, 0], ptms[:, 1]  # (L + V - 1, 4, 4) per qubit
+
+    # backward: w is the readout pulled back to the input of layer l
+    pulled = np.empty((n_layers, 4, 4))
+    w = _Z_QUBIT0
+    for layer in reversed(range(n_layers)):
+        pulled[layer] = (w.reshape(16) @ tail).reshape(4, 4)
+        w = a0[layer].T @ pulled[layer] @ a1[layer]
+
+    # forward: the RX encoding of |00> has coefficients phi(x0) x phi(x1)
+    x = features.T
+    phi = np.stack([np.ones_like(x), np.zeros_like(x), -np.sin(x), np.cos(x)], axis=-1)
+    coeffs = np.empty((n_layers, rows, 4, 4))
+    coeffs[0] = phi[0][:, :, None] * phi[1][:, None, :]
+    for layer in range(n_layers - 1):
+        step = a0[layer] @ coeffs[layer] @ a1[layer].T
+        coeffs[layer + 1] = (step.reshape(rows, 16) @ tail.T).reshape(rows, 4, 4)
+
+    trunk = coeffs[0].reshape(rows, 16) @ w.reshape(16)
+    branch = a0[n_layers:].transpose(0, 2, 1) @ pulled[layers] @ a1[n_layers:]
+    out = coeffs[layers].reshape(n_tensors - 1, rows, 16) @ branch.reshape(-1, 16, 1)
+    return np.concatenate([trunk, out.reshape(-1)])
+
+
 def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
     """<Z> on qubit 0 of the ansatz for a batch of (features, params) rows.
 
@@ -216,22 +297,22 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
     raises ``ValueError``.  This is the shape of a parameter-shift
     gradient (``training._shift_rule``); a readout is a trunk alone.
 
-    Only the k trunk rows are encoded, and one build makes the trunk's
-    L gates and one gate per branch, with their adjoints.  At layer l
-    the trunk and the branches that left it earlier share the trunk's
-    gate, so both halves of ``u rho u^dag`` are one matrix product over
-    all their n rows: ``(4,4) @ (4,4n)``, then ``(4n,4) @ (4,4)``.  The m
-    branches that leave at l start from the trunk's state before l:
-    ``(4m,4) @ (4,4k)``, then a stacked ``(m,4k,4) @ (m,4,4)``.  One
-    tail product then covers every live row.
+    A stack (V > 1) is evaluated in the Pauli basis
+    (:func:`_branch_expectations`), to rounding of evaluating each
+    tensor on its own.
 
-    The result is bitwise identical to evaluating every tensor on its
-    own: the BLAS ``zgemm`` behind ``@`` computes each output element
-    the same way whatever the matrix shape.  Keep it so.  A training
-    sample at x0 = pi/2 outputs about -2.8e-17 near the zero init, and
-    a readout that reorders the arithmetic (``einsum``, a matrix-vector
-    product, or evolving Z backward through the layers) flips its
-    predicted class.
+    A single tensor (V = 1, every accuracy readout) evolves the rows'
+    density matrices forward: one build makes the L gates and their
+    adjoints, both halves of ``u rho u^dag`` are one matrix product over
+    all B rows, ``(4,4) @ (4,4B)`` then ``(4B,4) @ (4,4)``, and one tail
+    product follows.  The benchmark's recorded references pin these
+    bits, so keep the order of this loop's arithmetic.  A training
+    sample at x0 = pi/2 outputs rounding noise near the zero init, and
+    its predicted class follows the sign of that noise.  The noise is
+    not even a function of the row alone: the BLAS ``zgemm`` rounds by
+    matrix shape, and with depolarizing noise at 0.5 and 1e-7-scale
+    parameters that row read -2.8e-17 in a 100-row call and 5.6e-17 in
+    a call of its own.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     params = np.ascontiguousarray(params, dtype=float)
@@ -247,52 +328,34 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
             f"params shape {params.shape} is neither {shape} nor (V,) + {shape} "
             f"with V dividing B = {batch}"
         )
-    rows = batch // n_tensors
-    branch_layers = _branch_layers(features, params)
+    if n_tensors > 1:
+        layers = _branch_layers(features, params)
+        return _branch_expectations(features[: batch // n_tensors], params, layers, config)
 
     # right-multiplication form for row-vectorized states
     tail_t = static_layer_superop(config).T
 
     # the encoding unitary hits |00><00|, so rho is the outer product of
     # its first column with itself, the product of the RX columns
-    rx0, rx1 = rx_matrices(features[:rows, 0]), rx_matrices(features[:rows, 1])
-    col = (rx0[:, :, None, 0] * rx1[:, None, :, 0]).reshape(rows, 4)
+    rx0, rx1 = rx_matrices(features[:, 0]), rx_matrices(features[:, 1])
+    col = (rx0[:, :, None, 0] * rx1[:, None, :, 0]).reshape(batch, 4)
     rho = col[:, :, None] * col.conj()[:, None, :]
 
-    # the trunk's L gates, then each branch's gate, in one build
-    angles = np.concatenate([params[0], params[np.arange(1, n_tensors), branch_layers]])
-    rots = rot_matrices(angles)  # (L + V - 1, 2, 2, 2)
+    rots = rot_matrices(params[0])  # (L, 2, 2, 2)
     gates = kron_batch(rots[:, 0], rots[:, 1])
     gates_dag = np.ascontiguousarray(gates.conj().swapaxes(-1, -2))
-    # the branches leaving at layer l have gates[bounds[l] : bounds[l + 1]]
-    bounds = (config.n_layers + np.searchsorted(branch_layers, range(config.n_layers + 1))).tolist()
 
-    # Each step rebinds rho, and ``out`` is dropped with its layer, so at
-    # most three state stacks are alive at once.  A loop that kept five
-    # let the heap top of a 305-row gradient call grow past glibc's trim
-    # threshold, so every call returned its pages and faulted them back
-    # in; one that kept ``out`` into the next layer raised the peak RSS
-    # of a 2,000-row readout by about 0.6 MB.
+    # Each step rebinds rho, so at most three state stacks are alive at
+    # once; a loop that kept more let a call's heap top grow past glibc's
+    # trim threshold, so every call returned its pages and faulted them
+    # back in.
     for layer in range(config.n_layers):
-        live = len(rho)
-        first, last = bounds[layer], bounds[layer + 1]
-        # (n, 4, 4) -> (4, n, 4): row index i of every state leads, so one
-        # gate multiplies all n states as one (4, 4n) matrix, and the
-        # trunk's states are its first 4k columns
-        rho = rho.transpose(1, 0, 2).reshape(4, 4 * live)
-        if last > first:
-            branches = (gates[first:last].reshape(-1, 4) @ rho[:, : 4 * rows]).reshape(
-                last - first, 4 * rows, 4
-            ) @ gates_dag[first:last]
-        rho = (gates[layer] @ rho).reshape(4 * live, 4) @ gates_dag[layer]
-        out = np.empty((live + (last - first) * rows, 4, 4), dtype=complex)
-        out[:live] = rho.reshape(4, live, 4).transpose(1, 0, 2)
-        if last > first:
-            out[live:].reshape(-1, rows, 4, 4)[...] = branches.reshape(-1, 4, rows, 4).transpose(
-                0, 2, 1, 3
-            )
-        rho = (out.reshape(-1, 16) @ tail_t).reshape(-1, 4, 4)
-        del out
+        # (B, 4, 4) -> (4, B, 4): row index i of every state leads, so one
+        # gate multiplies all B states as one (4, 4B) matrix
+        rho = rho.transpose(1, 0, 2).reshape(4, 4 * batch)
+        rho = (gates[layer] @ rho).reshape(4 * batch, 4) @ gates_dag[layer]
+        rho = rho.reshape(4, batch, 4).transpose(1, 0, 2).reshape(batch, 16)
+        rho = (rho @ tail_t).reshape(batch, 4, 4)
 
     z = rho[:, 0, 0] + rho[:, 1, 1] - rho[:, 2, 2] - rho[:, 3, 3]
     return z.real

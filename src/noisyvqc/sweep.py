@@ -52,18 +52,25 @@ def _check_run_inputs(seeds: Sequence[int], data_path: str | None) -> None:
         raise SettingError("data_path", f"no such file: {data_path}")
 
 
-def load_dataset(data_path: str | None) -> Dataset:
+def load_dataset(data_path: str | None, seeds: Sequence[int]) -> Dataset:
     """The dataset of a sweep or a run, parsed and checked once before any run.
 
     A file that does not parse, holds fewer than two classes, or whose
     split would leave a side empty (:func:`data.check_split`, the same
-    for every seed) raises :class:`SettingError` under ``data_path``.
+    for every seed) raises :class:`SettingError` under ``data_path``, as
+    does a feature that is constant on the training split of one of
+    ``seeds`` (:func:`data.feature_stats` could not scale it).
     """
     try:
         dataset = load_iris_binary(data_path)
         check_split(dataset)
     except ValueError as exc:
         raise SettingError("data_path", str(exc)) from exc
+    for seed in seeds:
+        try:
+            feature_stats(split(dataset, seed=seed)[0].features)
+        except ValueError as exc:
+            raise SettingError("data_path", f"seed {seed}: {exc}") from exc
     return dataset
 
 
@@ -84,8 +91,8 @@ class SweepConfig:
         if not self.seeds:
             raise SettingError("seeds", "at least one seed is required")
         _check_run_inputs(self.seeds, self.data_path)
-        for p in self.probabilities:
-            check_probability(p, "probabilities")
+        probabilities = tuple(check_probability(p, "probabilities") for p in self.probabilities)
+        object.__setattr__(self, "probabilities", probabilities)
         AnsatzConfig(n_layers=self.n_layers)  # checks the layer count
         if self.workers is not None and self.workers < 1:
             raise SettingError("workers", f"must be at least 1, got {self.workers}")
@@ -149,11 +156,12 @@ def execute_run(
     RNG, so a (channel, probability, seed) triple pins the entire run.
     """
     settings = TrainSettings(**training)
+    probability = check_probability(probability)
     config = AnsatzConfig(channel=channel, probability=probability, n_layers=n_layers)
     if channel is ChannelKind.NONE and config.probability != 0.0:
         raise SettingError("probability", f"must be 0 for channel none, got {probability:g}")
     _check_run_inputs((seed,), data_path)
-    return _train_on(load_dataset(data_path), config, settings, seed)
+    return _train_on(load_dataset(data_path, (seed,)), config, settings, seed)
 
 
 def _train_on(
@@ -182,7 +190,7 @@ def run_sweep(config: SweepConfig, progress=None) -> list[RunRecord]:
     scheduling, so downstream output is deterministic.
     """
     specs = config.run_specs()
-    dataset = load_dataset(config.data_path)
+    dataset = load_dataset(config.data_path, config.seeds)
     configs = [
         AnsatzConfig(channel=ch, probability=p, n_layers=config.n_layers) for ch, p, _ in specs
     ]

@@ -85,9 +85,9 @@ def _shift_rule(features, params, config: AnsatzConfig) -> tuple[np.ndarray, np.
     sample batch, tiled once per variant.  This is the evaluator's trunk
     and branch stack: variant 0 is the trunk, and flat parameters run
     layer by layer, so each variant differs from it in one layer, in
-    non-decreasing layer order.  The evaluator computes every state
-    before a variant's shifted layer once, on the trunk, and builds L
-    gates plus one per variant.
+    non-decreasing layer order.  The evaluator runs the trunk once in
+    the Pauli basis and meets each variant at its shifted layer with
+    one 16-vector product, building L gates plus one per variant.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     params = np.asarray(params, dtype=float)

@@ -32,6 +32,12 @@ class TestRunCommand:
             main(["run", "--channel", "depolarizing", "--prob", "1.5", "--out", str(tmp_path)])
         assert exc.value.code != 0
 
+    def test_negative_zero_probability_is_the_baseline_cell(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--channel", "none", "--prob", "-0", "--steps", "2", "--out", str(out)]) == 0
+        assert os.listdir(out) == ["run_none_0_1.csv"]
+        assert read_lines(out / "run_none_0_1.csv")[1].startswith("none_0_1,none,0.000000,1,1,")
+
     def test_unknown_channel_exits_nonzero(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--channel", "thermal", "--out", str(tmp_path)])
@@ -108,8 +114,13 @@ class TestBadDataFile:
                 "5.1,3.5,1.4,0.2,Iris-setosa\n" * 3 + "7.0,3.2,4.7,1.4,Iris-versicolor\n" * 3,
                 "neither side may be empty",
             ),
+            # petal length 1.4 in every row: nothing to scale on any training split
+            (
+                "5.1,3.5,1.4,0.2,Iris-setosa\n" * 4 + "7.0,3.2,1.4,1.4,Iris-versicolor\n" * 4,
+                "seed 1: each feature needs max > min on the training split",
+            ),
         ],
-        ids=["one-class", "two-columns", "empty-validation-side"],
+        ids=["one-class", "two-columns", "empty-validation-side", "constant-feature"],
     )
     def test_exits_2_without_output(self, tmp_path, capsys, command, text, message):
         data = tmp_path / "iris.csv"

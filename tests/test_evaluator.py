@@ -107,6 +107,41 @@ class TestSuperops:
         np.testing.assert_allclose(vec_out.reshape(4, 4), u @ rho @ u.conj().T, atol=1e-14)
 
 
+PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
+
+
+class TestPauliTransfer:
+    def test_rot_ptm_matches_trace_formula(self, rng):
+        # (..., 2, 3) triples as a stack of parameter tensors: entry (j, k) is
+        # Tr(sigma_j U sigma_k U^dag) / 2 of the same triple's Rot matrix
+        triples = rng.uniform(-np.pi, np.pi, size=(40, 2, 3))
+        u = rot_matrices(triples)
+        traced = 0.5 * np.einsum("jab,...bc,kcd,...ad->...jk", PAULIS, u, PAULIS, u.conj())
+        ptms = evaluator.rot_ptms(triples)
+        assert ptms.shape == (40, 2, 4, 4) and ptms.dtype == float
+        np.testing.assert_allclose(ptms, traced, rtol=0, atol=1e-15)
+
+    def test_rot_ptm_of_one_triple(self):
+        # Ry(pi/2) takes X to -Z and Z to X; Rz(pi/2) takes X to Y
+        np.testing.assert_allclose(
+            evaluator.rot_ptms(np.array([0.0, np.pi / 2, np.pi / 2])),
+            [[1, 0, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1], [0, -1, 0, 0]],
+            atol=1e-15,
+        )
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_tail_ptm_is_real_and_trace_preserving(self, kind):
+        # the imaginary part is rounding, the first row is e_0, and
+        # T^-1 R T gives back the superoperator
+        for p in [0.0] if kind is ChannelKind.NONE else [0.1, 0.5, 1.0]:
+            superop = static_layer_superop(AnsatzConfig(channel=kind, probability=p, n_layers=1))
+            ptm = evaluator.pauli_transfer(superop)
+            assert max_abs(ptm.imag) < 1e-15
+            np.testing.assert_allclose(ptm.real[0], np.eye(16)[0], rtol=0, atol=1e-14)
+            back = np.linalg.inv(evaluator._TO_PAULI) @ ptm.real @ evaluator._TO_PAULI
+            np.testing.assert_allclose(back, superop, rtol=0, atol=1e-15)
+
+
 def branch_stack(trunk, layers, values):
     """(V, L, 2, 3) stack: ``trunk``, then one tensor per entry of ``layers``
     whose layer ``layers[j]`` is replaced by ``values[j]`` (shape (2, 3))."""
@@ -175,21 +210,21 @@ class TestAgainstReferenceSimulator:
         np.testing.assert_allclose(fast, reference, atol=1e-12)
 
     def test_shared_params_broadcast(self, rng):
-        # each tensor of a shift stack has the bits of its own shared-params
-        # call, in the (L, 2, 3) form and as a stack of one
+        # each tensor of a shift stack matches its own shared-params call,
+        # which has the same bits in the (L, 2, 3) form and as a stack of one
         cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.3, n_layers=2)
         trunk_rows = rng.uniform(0, np.pi, size=(3, 2))
         params = shift_stack(rng.normal(size=param_shape(cfg)))
         stacked = ansatz_expectations(np.tile(trunk_rows, (len(params), 1)), params, cfg)
         for v, tensor in enumerate(params):
             shared = ansatz_expectations(trunk_rows, tensor, cfg)
-            np.testing.assert_array_equal(stacked[3 * v : 3 * v + 3], shared)
+            np.testing.assert_allclose(stacked[3 * v : 3 * v + 3], shared, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(ansatz_expectations(trunk_rows, tensor[None], cfg), shared)
 
     def test_row_independence(self, rng):
-        # each tensor's rows are unaffected by the other tensors, including
-        # branches sharing a layer and a branch equal to the trunk; each row
-        # of a shared call is unaffected by the other rows
+        # each tensor's rows match its own call whatever the other tensors,
+        # including branches sharing a layer and a branch equal to the
+        # trunk; each row of a shared call is unaffected by the other rows
         cfg = AnsatzConfig(channel=ChannelKind.PHASE_DAMPING, probability=0.6, n_layers=3)
         trunk_rows = rng.uniform(0, np.pi, size=(2, 2))
         trunk = rng.normal(size=param_shape(cfg))
@@ -198,7 +233,7 @@ class TestAgainstReferenceSimulator:
         stacked = ansatz_expectations(np.tile(trunk_rows, (len(params), 1)), params, cfg)
         for v, tensor in enumerate(params):
             shared = ansatz_expectations(trunk_rows, tensor, cfg)
-            np.testing.assert_array_equal(stacked[2 * v : 2 * v + 2], shared)
+            np.testing.assert_allclose(stacked[2 * v : 2 * v + 2], shared, rtol=0, atol=1e-12)
         features = rng.uniform(0, np.pi, size=(6, 2))
         batch = ansatz_expectations(features, trunk, cfg)
         for i in range(6):
@@ -209,7 +244,8 @@ class TestAgainstReferenceSimulator:
 def per_layer_reference(features, params, cfg):
     """Reference evaluator: the encoding through the full Kronecker product,
     and each layer building its own gates and their adjoint.  ``params`` is
-    a (V, L, 2, 3) stack."""
+    a (V, L, 2, 3) stack.  Its outputs have the bits of evolving each
+    tensor's density matrices on their own."""
     batch, n_tensors = len(features), len(params)
     rows = batch // n_tensors
     tail_t = static_layer_superop(cfg).T
@@ -227,34 +263,49 @@ def per_layer_reference(features, params, cfg):
     return z.real
 
 
+def counting(monkeypatch, names):
+    """Replace each evaluator function in ``names`` by a wrapper that records
+    the shape of its first argument; returns {name: [shapes]}."""
+    seen = {name: [] for name in names}
+
+    def recorded(name):
+        original = getattr(evaluator, name)
+
+        def wrapper(*args):
+            seen[name].append(np.shape(args[0]))
+            return original(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(evaluator, name, recorded(name))
+    return seen
+
+
 class TestOneGateBuild:
     @pytest.mark.parametrize("n_layers", [1, 5])
     @pytest.mark.parametrize("rows", [1, 3, 6])
     def test_one_rot_and_one_kron_call(self, monkeypatch, rng, n_layers, rows):
-        # a shift stack over 1, 3 or 6 tiled feature rows, and a readout
-        calls = {"rot_matrices": 0, "kron_batch": 0}
-
-        def counted(name):
-            original = getattr(evaluator, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return original(*args)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(evaluator, name, counted(name))
+        # a shift stack over 1, 3 or 6 tiled feature rows builds one stack of
+        # Rot PTMs, and a readout one rot_matrices and one kron_batch stack
+        seen = counting(monkeypatch, ["rot_ptms", "rot_matrices", "kron_batch"])
         cfg = AnsatzConfig(channel=ChannelKind.BIT_FLIP, probability=0.2, n_layers=n_layers)
         params = shift_stack(rng.normal(size=param_shape(cfg)))
         features = np.tile(rng.uniform(0, np.pi, size=(rows, 2)), (len(params), 1))
         evaluator.ansatz_expectations(features, params, cfg)
-        assert calls == {"rot_matrices": 1, "kron_batch": 1}
+        gates = (n_layers + len(params) - 1, 2, 3)
+        assert seen == {"rot_ptms": [gates], "rot_matrices": [], "kron_batch": []}
         evaluator.ansatz_expectations(features, params[0], cfg)
-        assert calls == {"rot_matrices": 2, "kron_batch": 2}
+        assert seen == {
+            "rot_ptms": [gates],
+            "rot_matrices": [(n_layers, 2, 3)],
+            "kron_batch": [(n_layers, 2, 2)],
+        }
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
     def test_bits_equal_per_layer_loop(self, rng, kind):
+        # a shift stack agrees with the per-tensor complex loop at 1e-12, and
+        # a readout has its bits
         for _ in range(8):
             cfg = AnsatzConfig(
                 channel=kind, probability=float(rng.uniform()), n_layers=int(rng.integers(1, 6))
@@ -267,7 +318,7 @@ class TestOneGateBuild:
             features = np.tile(trunk_rows, (len(params), 1))
             fast = ansatz_expectations(features, params, cfg)
             slow = per_layer_reference(features, params, cfg)
-            assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+            np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
             # a readout: one shared tensor over B random rows
             batch = int(rng.choice([1, 5, 100]))
             features = rng.uniform(0, np.pi, size=(batch, 2))
@@ -277,26 +328,21 @@ class TestOneGateBuild:
             assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
     def test_work_count(self, monkeypatch, rng):
-        # k rows are encoded, and L + V - 1 gates are built
-        seen = {"rx_matrices": [], "rot_matrices": []}
-
-        def recorded(name):
-            original = getattr(evaluator, name)
-
-            def wrapper(angles):
-                seen[name].append(np.shape(angles))
-                return original(angles)
-
-            return wrapper
-
-        for name in seen:
-            monkeypatch.setattr(evaluator, name, recorded(name))
+        # a gradient builds L + V - 1 Rot PTMs and no complex gate; a
+        # readout encodes its B rows and builds L Rot gates
+        seen = counting(monkeypatch, ["rx_matrices", "rot_matrices", "rot_ptms"])
         cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.1, n_layers=5)
         params = shift_stack(rng.normal(size=param_shape(cfg)))
         features = np.tile(rng.uniform(0, np.pi, size=(5, 2)), (len(params), 1))
         evaluator.ansatz_expectations(features, params, cfg)
         assert len(params) == 61
-        assert seen == {"rx_matrices": [(5,), (5,)], "rot_matrices": [(5 + 61 - 1, 2, 3)]}
+        assert seen == {"rx_matrices": [], "rot_matrices": [], "rot_ptms": [(5 + 61 - 1, 2, 3)]}
+        evaluator.ansatz_expectations(features[:100], params[0], cfg)
+        assert seen == {
+            "rx_matrices": [(100,), (100,)],
+            "rot_matrices": [(5, 2, 3)],
+            "rot_ptms": [(5 + 61 - 1, 2, 3)],
+        }
 
 
 class TestValidation:

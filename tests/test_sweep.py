@@ -129,6 +129,27 @@ class TestRunSweep:
         with pytest.raises(SettingError, match="neither side may be empty"):
             run_sweep(config)
 
+    def test_rejects_a_seed_with_a_constant_training_feature(self, tmp_path, monkeypatch):
+        # petal length 1.4 in every row but one versicolor row, which the
+        # split of seed 2 puts on the validation side, and that of seed 1 not
+        rows = [f"5.1,3.5,1.4,0.{w},Iris-setosa" for w in (2, 3, 2, 4)]
+        rows += ["7.0,3.2,1.4,1.4,Iris-versicolor"] * 3 + ["7.0,3.2,4.7,1.4,Iris-versicolor"]
+        data = tmp_path / "iris.csv"
+        data.write_text("\n".join(rows) + "\n")
+        monkeypatch.setattr(sweep, "train", lambda *a, **k: pytest.fail("a run started"))
+        for seeds in [(1, 2), (2,)]:
+            config = SweepConfig(
+                channels=(ChannelKind.BIT_FLIP,), probabilities=(0.5,), seeds=seeds,
+                data_path=str(data), out_dir=str(tmp_path / "out"), workers=1,
+            )
+            with pytest.raises(SettingError, match="seed 2: each feature needs max > min") as exc:
+                run_sweep(config)
+            assert exc.value.field == "data_path"
+        with pytest.raises(SettingError, match="seed 2:"):
+            execute_run(ChannelKind.NONE, 0.0, 2, data_path=str(data))
+        monkeypatch.undo()
+        assert len(execute_run(ChannelKind.NONE, 0.0, 1, steps=2, data_path=str(data)).steps) == 2
+
     def test_spec_order_and_count(self, tmp_path):
         config = tiny_config(tmp_path)
         records = run_sweep(config)
@@ -168,6 +189,11 @@ class TestRunSweep:
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
             SweepConfig(seeds=())
+
+    def test_negative_zero_probability_reads_zero(self):
+        config = SweepConfig(channels=(ChannelKind.BIT_FLIP,), probabilities=(-0.0, 0.5), seeds=(1,))
+        assert [np.copysign(1.0, p) for p in config.probabilities] == [1.0, 1.0]
+        assert [run_id(*spec) for spec in config.run_specs()][1] == "bit-flip_0_1"
 
     def test_rejects_bad_probability(self):
         with pytest.raises(SettingError, match=r"1.3 outside \[0, 1\]") as exc:
@@ -213,6 +239,8 @@ class TestRunSweep:
             (dict(probabilities=(0.1, 0.1000001)), "probabilities", "bit-flip_0.1_1"),
             (dict(channels=(ChannelKind.BIT_FLIP,) * 2), "channels", "bit-flip_0.5_1"),
             (dict(channels=(ChannelKind.NONE,), probabilities=(0.0,)), "channels", "none_0_1"),
+            # -0.0 reads as 0.0
+            (dict(probabilities=(0.0, -0.0)), "probabilities", "bit-flip_0_1"),
         ],
     )
     def test_rejects_shared_run_id(self, grid, field, rid):
@@ -221,7 +249,7 @@ class TestRunSweep:
             SweepConfig(**{**settings, **grid})
         assert exc.value.field == field
 
-    @pytest.mark.parametrize("probs", [(0.0, -0.0), (1e-7, 2e-7), (0.01, 0.0100001)])
+    @pytest.mark.parametrize("probs", [(0.0, 1e-9), (1e-7, 2e-7), (0.01, 0.0100001)])
     def test_rejects_probabilities_equal_in_csv(self, probs):
         # run ids differ, but results.csv writes both as one 6-decimal value
         with pytest.raises(SettingError, match="equal at 6 decimals") as exc:
