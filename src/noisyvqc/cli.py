@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--prob", type=float, default=0.0, help="channel probability in [0, 1]")
     run_p.add_argument("--seed", type=int, default=1, help="run seed")
     _add_training_flags(run_p)
-    run_flags = {**_FLAGS, "probabilities": "--prob", "probability": "--prob", "seeds": "--seed"}
+    run_flags = {**_FLAGS, "probability": "--prob", "seeds": "--seed"}
     run_p.set_defaults(handler=_cmd_run, parser=run_p, flags=run_flags)
 
     sweep_p = sub.add_parser("sweep", help="run the noise grid plus noise-free baselines")
@@ -96,21 +96,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sweep_config(args: argparse.Namespace, **grid) -> SweepConfig:
-    """The grid plus the training flags."""
-    training = TrainSettings(
-        steps=args.steps, batch_size=args.batch, learning_rate=args.lr, momentum=args.momentum
-    )
-    return SweepConfig(
-        **grid, training=training, n_layers=args.layers, data_path=args.data, out_dir=args.out
-    )
-
-
 def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     channel = ChannelKind(args.channel)
-    # no channels: a noise-free run would share the baseline's run id
-    config = _sweep_config(args, channels=(), probabilities=(args.prob,), seeds=(args.seed,))
-    record = execute_run(channel, args.prob, args.seed, **config.run_settings())
+    record = execute_run(
+        channel, args.prob, args.seed, n_layers=args.layers, data_path=args.data,
+        steps=args.steps, batch_size=args.batch, learning_rate=args.lr, momentum=args.momentum,
+    )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, run_filename(channel, record.probability, args.seed))
     write_results_csv(path, [record])
@@ -120,11 +111,17 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = _sweep_config(
-        args,
+    training = TrainSettings(
+        steps=args.steps, batch_size=args.batch, learning_rate=args.lr, momentum=args.momentum
+    )
+    config = SweepConfig(
         channels=tuple(ChannelKind(c) for c in args.channels),
         probabilities=tuple(args.probs),
         seeds=tuple(args.seeds),
+        training=training,
+        n_layers=args.layers,
+        data_path=args.data,
+        out_dir=args.out,
         workers=args.workers,
     )
 

@@ -3,8 +3,8 @@
 Training needs a parameter-shift gradient (61 shifted evaluations per
 sample) and a full-split accuracy readout at every step.  One call of
 ``ansatz_expectations`` evaluates either a single parameter tensor over
-B rows (a readout) or a trunk tensor with one-layer branches over the
-trunk's k rows (a gradient), and each has its own path:
+B rows (a readout) or a stack of V tensors over the same k rows (a
+gradient), and each has its own path:
 
 * a readout evolves the B density matrices forward as one stack.  The
   two Rot gates of a layer act on different qubits, so their product
@@ -16,19 +16,20 @@ trunk's k rows (a gradient), and each has its own path:
   (``static_layer_superop``, built once per ``AnsatzConfig``), applied
   as one matrix product per layer.  These output bits are the ones the
   benchmark's recorded references pin;
-* a gradient stack works in the Pauli basis, where every map of the
-  circuit is a real matrix acting on 16 Pauli coefficients: a Rot
-  gate's Pauli transfer matrix (PTM) is 1 + SO(3) in closed form
-  (``rot_ptms``), and the tail's is T S T^-1 of the superoperator S.
-  The readout Z x I is pulled back through the trunk once, the trunk
-  rows are pushed forward once, and each branch costs one 16-vector
-  product at its own layer.  These outputs agree with evolving every
+* a stack works in the Pauli basis, where every map of the circuit is
+  a real matrix acting on 16 Pauli coefficients: a Rot gate's Pauli
+  transfer matrix (PTM) is 1 + SO(3) in closed form (``rot_ptms``),
+  and the tail's is T S T^-1 of the superoperator S.  The readout
+  Z x I is pulled back through every tensor's layers in one batched
+  pass, and one (V, 16) @ (16, k) product meets it with the k rows'
+  encoded coefficients.  These outputs agree with evolving every
   tensor on its own to rounding (about 1e-15), not bit for bit.
 
-These matrix products have inner dimension 4 or 16, too small for a
-second BLAS thread to pay for itself: on gradient batches it only
-spins, and on a process pool it takes a core from another worker.
-``one_blas_thread`` caps BLAS at one thread while training runs.
+These matrix products have inner dimension 4 or 16, and a second BLAS
+thread costs more than it saves on them: on a 2,000-row readout it
+doubled a run's CPU time, and on a process pool it takes a core from
+another worker.  ``one_blas_thread`` caps BLAS at one thread while
+training runs.
 
 This module is the package's only gate library: a single gate is a
 batch of one, e.g. ``rot_matrices(angles[None])[0]``.  Both paths agree
@@ -212,75 +213,29 @@ def pauli_transfer(superop: np.ndarray) -> np.ndarray:
     return _TO_PAULI @ superop @ _FROM_PAULI
 
 
-def _branch_layers(features: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """The layer at which each tensor v >= 1 of a (V, L, 2, 3) stack leaves tensor 0.
-
-    Returns shape (V - 1,).  Raises ``ValueError`` unless every tensor
-    differs from tensor 0 in at most one layer, those layers do not
-    decrease with v, and the B = V * k ``features`` are their first k
-    rows tiled V times.  Layers compare by their bits.  A tensor equal
-    to tensor 0 leaves at the layer of the tensor before it.
-    """
-    n_tensors = len(params)
-    rows = len(features) // n_tensors
-    if not (features.reshape(n_tensors, rows, -1) == features[:rows]).all():
-        raise ValueError(f"features must be their first B / V = {rows} rows tiled V times")
-    bits = params.reshape(n_tensors, params.shape[1], -1).view(np.int64)
-    differs = (bits[1:] != bits[0]).any(axis=-1)  # (V - 1, L)
-    moved = differs.sum(axis=1)
-    if moved.max() > 1:
-        raise ValueError("each params tensor v >= 1 must differ from tensor 0 in at most one layer")
-    first_moved = differs.argmax(axis=1)
-    layers = np.maximum.accumulate(first_moved)
-    if ((layers != first_moved) & (moved > 0)).any():
-        raise ValueError(
-            "the layer at which params tensor v differs from tensor 0 must not decrease with v"
-        )
-    return layers
-
-
-def _branch_expectations(
-    features: np.ndarray, params: np.ndarray, layers: np.ndarray, config: AnsatzConfig
+def _stack_expectations(
+    features: np.ndarray, params: np.ndarray, config: AnsatzConfig
 ) -> np.ndarray:
-    """<Z> on qubit 0 for a trunk and its one-layer branches, in the Pauli basis.
+    """<Z> on qubit 0 of every tensor of a (V, L, 2, 3) stack over the same k rows.
 
-    ``features`` are the trunk's k rows, ``params`` a (V, L, 2, 3)
-    stack and ``layers`` its branch layers (:func:`_branch_layers`).
-    The Pauli coefficients of a two-qubit state are the 16-vector
-    ``Tr(sigma_a x sigma_b rho)``, held as a 4x4 matrix over (a, b), and
-    every map of the circuit acts on them as a real matrix.  The readout
-    Z x I is pulled back through the trunk's layers once, the trunk
-    rows' coefficients are pushed forward once, and a branch at layer l
-    meets both there: with u_l the readout pulled back to just after
-    layer l's gates and C_l the rows' coefficients just before them, its
-    output is ``(A0^T u_l A1) . C_l`` for the branch's own gate PTMs A0
-    and A1.  Returns shape (V * k,).
+    Works on Pauli coefficients ``Tr(sigma_a x sigma_b rho)``, held as a
+    4x4 matrix over (a, b), on which every map of the circuit is real.
+    The readout Z x I is pulled back through each tensor's layers, all
+    V at once: ``w <- w R`` through the tail PTM R, then ``A0^T w A1``
+    through the layer's Rot PTMs.  The k rows' RX encoding of |00> has
+    coefficients phi(x0) x phi(x1), phi(x) = (1, 0, -sin x, cos x), and
+    one product meets the two.  Returns shape (V * k,), tensor-major.
     """
-    rows, n_tensors, n_layers = len(features), len(params), config.n_layers
     tail = pauli_transfer(static_layer_superop(config)).real
-    ptms = rot_ptms(np.concatenate([params[0], params[np.arange(1, n_tensors), layers]]))
-    a0, a1 = ptms[:, 0], ptms[:, 1]  # (L + V - 1, 4, 4) per qubit
-
-    # backward: w is the readout pulled back to the input of layer l
-    pulled = np.empty((n_layers, 4, 4))
+    ptms = rot_ptms(params)  # (V, L, 2, 4, 4)
     w = _Z_QUBIT0
-    for layer in reversed(range(n_layers)):
-        pulled[layer] = (w.reshape(16) @ tail).reshape(4, 4)
-        w = a0[layer].T @ pulled[layer] @ a1[layer]
-
-    # forward: the RX encoding of |00> has coefficients phi(x0) x phi(x1)
+    for layer in reversed(range(config.n_layers)):
+        w = (w.reshape(-1, 16) @ tail).reshape(-1, 4, 4)
+        w = ptms[:, layer, 0].swapaxes(-1, -2) @ w @ ptms[:, layer, 1]
     x = features.T
     phi = np.stack([np.ones_like(x), np.zeros_like(x), -np.sin(x), np.cos(x)], axis=-1)
-    coeffs = np.empty((n_layers, rows, 4, 4))
-    coeffs[0] = phi[0][:, :, None] * phi[1][:, None, :]
-    for layer in range(n_layers - 1):
-        step = a0[layer] @ coeffs[layer] @ a1[layer].T
-        coeffs[layer + 1] = (step.reshape(rows, 16) @ tail.T).reshape(rows, 4, 4)
-
-    trunk = coeffs[0].reshape(rows, 16) @ w.reshape(16)
-    branch = a0[n_layers:].transpose(0, 2, 1) @ pulled[layers] @ a1[n_layers:]
-    out = coeffs[layers].reshape(n_tensors - 1, rows, 16) @ branch.reshape(-1, 16, 1)
-    return np.concatenate([trunk, out.reshape(-1)])
+    coeffs = (phi[0][:, :, None] * phi[1][:, None, :]).reshape(-1, 16)
+    return (w.reshape(-1, 16) @ coeffs.T).reshape(-1)
 
 
 def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
@@ -288,17 +243,15 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
 
     ``features`` has shape (B, 2).  ``params`` holds V parameter tensors:
     either one of shape (n_layers, 2, 3), shared by all rows (V = 1), or
-    a stack of shape (V, n_layers, 2, 3) with V dividing B.  Tensor 0 is
-    the trunk; every tensor v >= 1 is a branch that differs from it in
-    at most one layer l_v, with l_v not decreasing in v.  Every tensor
-    serves the trunk's k = B / V feature rows, so ``features`` must be
-    ``features[:k]`` tiled V times; tensor v's outputs are rows
-    ``v*k ... (v+1)*k - 1``.  Returns shape (B,).  Any other stack
-    raises ``ValueError``.  This is the shape of a parameter-shift
-    gradient (``training._shift_rule``); a readout is a trunk alone.
+    a stack of shape (V, n_layers, 2, 3) with V dividing B.  Every tensor
+    serves the same k = B / V feature rows, so ``features`` must be
+    ``features[:k]`` tiled V times, or ``ValueError`` is raised; tensor
+    v's outputs are rows ``v*k ... (v+1)*k - 1``.  Returns shape (B,).
+    A parameter-shift gradient (``training._shift_rule``) is such a
+    stack, and a readout is a single tensor.
 
     A stack (V > 1) is evaluated in the Pauli basis
-    (:func:`_branch_expectations`), to rounding of evaluating each
+    (:func:`_stack_expectations`), to rounding of evaluating each
     tensor on its own.
 
     A single tensor (V = 1, every accuracy readout) evolves the rows'
@@ -329,8 +282,10 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
             f"with V dividing B = {batch}"
         )
     if n_tensors > 1:
-        layers = _branch_layers(features, params)
-        return _branch_expectations(features[: batch // n_tensors], params, layers, config)
+        rows = batch // n_tensors
+        if not (features.reshape(n_tensors, rows, -1) == features[:rows]).all():
+            raise ValueError(f"features must be their first B / V = {rows} rows tiled V times")
+        return _stack_expectations(features[:rows], params, config)
 
     # right-multiplication form for row-vectorized states
     tail_t = static_layer_superop(config).T

@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
 
@@ -110,10 +110,6 @@ class SweepConfig:
             if w in written[:i]:
                 first, p = self.probabilities[written.index(w)], self.probabilities[i]
                 raise SettingError("probabilities", f"{first:g} and {p:g} are equal at 6 decimals")
-
-    def run_settings(self) -> dict:
-        """Keyword arguments of :func:`execute_run` shared by every run of the sweep."""
-        return dict(asdict(self.training), n_layers=self.n_layers, data_path=self.data_path)
 
     def run_specs(self) -> list[tuple[ChannelKind, float, int]]:
         """All runs of the sweep: baselines first, then the noise grid."""
@@ -216,7 +212,7 @@ def run_id(channel: ChannelKind, probability: float, seed: int) -> str:
 
 
 def run_filename(channel: ChannelKind, probability: float, seed: int) -> str:
-    return f"run_{channel.value}_{probability:g}_{seed}.csv"
+    return f"run_{run_id(channel, probability, seed)}.csv"
 
 
 def write_results_csv(path: str, records: Sequence[RunRecord]) -> None:

@@ -82,12 +82,9 @@ def _shift_rule(features, params, config: AnsatzConfig) -> tuple[np.ndarray, np.
     run as a single evaluator batch with variant-major rows: variant 0 is
     unshifted, variants 1 + 2i and 2 + 2i shift flat parameter i by +pi/2
     and -pi/2, and each variant's tensor serves the B rows of the whole
-    sample batch, tiled once per variant.  This is the evaluator's trunk
-    and branch stack: variant 0 is the trunk, and flat parameters run
-    layer by layer, so each variant differs from it in one layer, in
-    non-decreasing layer order.  The evaluator runs the trunk once in
-    the Pauli basis and meets each variant at its shifted layer with
-    one 16-vector product, building L gates plus one per variant.
+    sample batch, tiled once per variant.  The evaluator pulls the
+    readout back through all variants' layers in one batched Pauli
+    pass and meets the B rows with one product.
     """
     features = np.atleast_2d(np.asarray(features, dtype=float))
     params = np.asarray(params, dtype=float)

@@ -161,6 +161,12 @@ def shift_stack(trunk):
     return flat.reshape((-1,) + trunk.shape)
 
 
+def oracle(trunk_rows, params, cfg):
+    """Every tensor of ``params`` over every row of ``trunk_rows``, tensor-major,
+    by folding ``simulator.ansatz_kraus_sets``."""
+    return [run(ansatz_kraus_sets(x, tensor, cfg)) for tensor in params for x in trunk_rows]
+
+
 def random_branch_stack(rng, cfg, n_branches, scale=1.0):
     """A random trunk and ``n_branches`` one-layer branches at sorted random layers."""
     trunk = rng.normal(scale=scale, size=param_shape(cfg))
@@ -178,8 +184,7 @@ class TestAgainstReferenceSimulator:
         trunk_rows = rng.uniform(0, np.pi, size=(2, 2))
         params = random_branch_stack(rng, cfg, 4, scale=1.5)
         fast = ansatz_expectations(np.tile(trunk_rows, (5, 1)), params, cfg)
-        reference = [run(ansatz_kraus_sets(x, tensor, cfg)) for tensor in params for x in trunk_rows]
-        np.testing.assert_allclose(fast, reference, atol=1e-12)
+        np.testing.assert_allclose(fast, oracle(trunk_rows, params, cfg), atol=1e-12)
         # one shared tensor over random features
         features = rng.uniform(0, np.pi, size=(4, 2))
         fast = ansatz_expectations(features, params[0], cfg)
@@ -192,22 +197,19 @@ class TestAgainstReferenceSimulator:
         p=st.floats(0.0, 1.0),
         n_layers=st.integers(1, 5),
         rows=st.integers(1, 2),
+        n_tensors=st.integers(1, 5),
         data=st.data(),
     )
-    def test_matches_kraus_fold_property(self, kind, p, n_layers, rows, data):
-        # a trunk and 0-4 one-layer branches, each serving the trunk's rows
+    def test_matches_kraus_fold_property(self, kind, p, n_layers, rows, n_tensors, data):
+        # a stack of independently drawn tensors, each serving the same rows:
+        # tensors may differ in any number of layers, in any order, or repeat
         cfg = AnsatzConfig(channel=kind, probability=p, n_layers=n_layers)
         angles = st.floats(-10.0, 10.0)
         trunk_rows = data.draw(arrays(float, (rows, 2), elements=angles), label="features")
-        trunk = data.draw(arrays(float, param_shape(cfg), elements=angles), label="trunk")
-        layers = sorted(
-            data.draw(st.lists(st.integers(0, n_layers - 1), max_size=4), label="layers")
-        )
-        values = data.draw(arrays(float, (len(layers), 2, 3), elements=angles), label="values")
-        params = branch_stack(trunk, layers, values)
-        fast = ansatz_expectations(np.tile(trunk_rows, (len(params), 1)), params, cfg)
-        reference = [run(ansatz_kraus_sets(x, tensor, cfg)) for tensor in params for x in trunk_rows]
-        np.testing.assert_allclose(fast, reference, atol=1e-12)
+        shape = (n_tensors,) + param_shape(cfg)
+        params = data.draw(arrays(float, shape, elements=angles), label="params")
+        fast = ansatz_expectations(np.tile(trunk_rows, (n_tensors, 1)), params, cfg)
+        np.testing.assert_allclose(fast, oracle(trunk_rows, params, cfg), atol=1e-12)
 
     def test_shared_params_broadcast(self, rng):
         # each tensor of a shift stack matches its own shared-params call,
@@ -286,18 +288,21 @@ class TestOneGateBuild:
     @pytest.mark.parametrize("n_layers", [1, 5])
     @pytest.mark.parametrize("rows", [1, 3, 6])
     def test_one_rot_and_one_kron_call(self, monkeypatch, rng, n_layers, rows):
-        # a shift stack over 1, 3 or 6 tiled feature rows builds one stack of
-        # Rot PTMs, and a readout one rot_matrices and one kron_batch stack
-        seen = counting(monkeypatch, ["rot_ptms", "rot_matrices", "kron_batch"])
+        # a shift stack over 1, 3 or 6 tiled feature rows builds the Rot PTMs
+        # of the whole stack in one call and no complex gate, and a readout
+        # one rot_matrices and one kron_batch stack
+        names = ["rot_ptms", "rx_matrices", "rot_matrices", "kron_batch"]
+        seen = counting(monkeypatch, names)
         cfg = AnsatzConfig(channel=ChannelKind.BIT_FLIP, probability=0.2, n_layers=n_layers)
         params = shift_stack(rng.normal(size=param_shape(cfg)))
         features = np.tile(rng.uniform(0, np.pi, size=(rows, 2)), (len(params), 1))
         evaluator.ansatz_expectations(features, params, cfg)
-        gates = (n_layers + len(params) - 1, 2, 3)
-        assert seen == {"rot_ptms": [gates], "rot_matrices": [], "kron_batch": []}
+        gates = params.shape  # (V, L, 2, 3)
+        assert seen == {"rot_ptms": [gates], **{name: [] for name in names[1:]}}
         evaluator.ansatz_expectations(features, params[0], cfg)
         assert seen == {
             "rot_ptms": [gates],
+            "rx_matrices": [(len(features),), (len(features),)],
             "rot_matrices": [(n_layers, 2, 3)],
             "kron_batch": [(n_layers, 2, 2)],
         }
@@ -328,20 +333,22 @@ class TestOneGateBuild:
             assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
 
     def test_work_count(self, monkeypatch, rng):
-        # a gradient builds L + V - 1 Rot PTMs and no complex gate; a
-        # readout encodes its B rows and builds L Rot gates
-        seen = counting(monkeypatch, ["rx_matrices", "rot_matrices", "rot_ptms"])
+        # a gradient builds the V x L Rot PTM pairs of its stack in one call
+        # and no complex gate; a readout encodes its B rows and builds L Rot gates
+        seen = counting(monkeypatch, ["rx_matrices", "rot_matrices", "kron_batch", "rot_ptms"])
         cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.1, n_layers=5)
         params = shift_stack(rng.normal(size=param_shape(cfg)))
         features = np.tile(rng.uniform(0, np.pi, size=(5, 2)), (len(params), 1))
         evaluator.ansatz_expectations(features, params, cfg)
         assert len(params) == 61
-        assert seen == {"rx_matrices": [], "rot_matrices": [], "rot_ptms": [(5 + 61 - 1, 2, 3)]}
+        stack = [(61, 5, 2, 3)]
+        assert seen == {"rx_matrices": [], "rot_matrices": [], "kron_batch": [], "rot_ptms": stack}
         evaluator.ansatz_expectations(features[:100], params[0], cfg)
         assert seen == {
             "rx_matrices": [(100,), (100,)],
             "rot_matrices": [(5, 2, 3)],
-            "rot_ptms": [(5 + 61 - 1, 2, 3)],
+            "kron_batch": [(5, 2, 2)],
+            "rot_ptms": stack,
         }
 
 
@@ -358,20 +365,24 @@ class TestValidation:
             with pytest.raises(ValueError, match="params shape"):
                 ansatz_expectations(np.zeros((4, 2)), np.zeros(shape), cfg)
 
+    # a stack need not be a shift stack: these two are evaluated, not rejected
+
     def test_branch_differing_in_two_layers(self, rng):
-        cfg = AnsatzConfig(n_layers=3)
+        cfg = AnsatzConfig(channel=ChannelKind.AMPLITUDE_DAMPING, probability=0.3, n_layers=3)
         params = random_branch_stack(rng, cfg, 2)
         params[2, 0] += 1.0
         params[2, 2] += 1.0
-        with pytest.raises(ValueError, match="at most one layer"):
-            ansatz_expectations(np.zeros((6, 2)), params, cfg)
+        trunk_rows = rng.uniform(0, np.pi, size=(2, 2))
+        fast = ansatz_expectations(np.tile(trunk_rows, (3, 1)), params, cfg)
+        np.testing.assert_allclose(fast, oracle(trunk_rows, params, cfg), rtol=0, atol=1e-12)
 
     def test_branches_out_of_layer_order(self, rng):
-        cfg = AnsatzConfig(n_layers=3)
+        cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.4, n_layers=3)
         trunk = rng.normal(size=param_shape(cfg))
         params = branch_stack(trunk, [0, 2, 1], rng.normal(size=(3, 2, 3)))
-        with pytest.raises(ValueError, match="must not decrease"):
-            ansatz_expectations(np.zeros((8, 2)), params, cfg)
+        trunk_rows = rng.uniform(0, np.pi, size=(2, 2))
+        fast = ansatz_expectations(np.tile(trunk_rows, (4, 1)), params, cfg)
+        np.testing.assert_allclose(fast, oracle(trunk_rows, params, cfg), rtol=0, atol=1e-12)
 
     def test_untiled_features(self, rng):
         cfg = AnsatzConfig(n_layers=2)
