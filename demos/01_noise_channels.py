@@ -11,7 +11,7 @@ Run with:  python demos/01_noise_channels.py
 
 import numpy as np
 
-from noisyvqc import ChannelKind, NOISY_KINDS, apply_channel, build_channel, verify_completeness
+from noisyvqc import ChannelKind, NOISY_KINDS, apply_kraus, build_channel, verify_completeness
 from noisyvqc.linalg import PAULI_Z, max_abs
 
 # ---------------------------------------------------------------------------
@@ -19,12 +19,10 @@ from noisyvqc.linalg import PAULI_Z, max_abs
 # ---------------------------------------------------------------------------
 print("Kraus operators at p = 0.3, and the completeness defect |sum K^dag K - I|:")
 for kind in NOISY_KINDS:
-    channel = build_channel(kind, 0.3)
-    defect = max_abs(
-        sum(k.conj().T @ k for k in channel.kraus_ops) - np.eye(2)
-    )
-    print(f"  {kind.value:<18} {len(channel.kraus_ops)} operators, defect {defect:.1e}")
-    assert verify_completeness(channel)
+    ops = build_channel(kind, 0.3)
+    defect = max_abs(sum(k.conj().T @ k for k in ops) - np.eye(2))
+    print(f"  {kind.value:<18} {len(ops)} operators, defect {defect:.1e}")
+    assert verify_completeness(ops)
 
 # ---------------------------------------------------------------------------
 # The depolarizing fixed point
@@ -32,14 +30,14 @@ for kind in NOISY_KINDS:
 # At p = 3/4 the Pauli-twirl identity X rho X + Y rho Y + Z rho Z =
 # 2 tr(rho) I - rho collapses every qubit state to I/2.
 rho = np.array([[0.9, 0.3j], [-0.3j, 0.1]], dtype=complex)
-out = apply_channel(rho, build_channel(ChannelKind.DEPOLARIZING, 0.75))
+out = apply_kraus(rho, build_channel(ChannelKind.DEPOLARIZING, 0.75))
 print("\ndepolarizing p=0.75 sends any state to the maximally mixed state:")
 print(np.round(out, 12))
 
 # ---------------------------------------------------------------------------
 # Flip channels at full strength are deterministic
 # ---------------------------------------------------------------------------
-flipped = apply_channel(rho, build_channel(ChannelKind.PHASE_FLIP, 1.0))
+flipped = apply_kraus(rho, build_channel(ChannelKind.PHASE_FLIP, 1.0))
 conjugated = PAULI_Z @ rho @ PAULI_Z
 print(f"\nphase flip p=1.0 equals Z conjugation: defect {max_abs(flipped - conjugated):.1e}")
 
@@ -47,7 +45,7 @@ print(f"\nphase flip p=1.0 equals Z conjugation: defect {max_abs(flipped - conju
 # Dephasing never touches populations
 # ---------------------------------------------------------------------------
 for gamma in (0.2, 0.8):
-    out = apply_channel(rho, build_channel(ChannelKind.PHASE_DAMPING, gamma))
+    out = apply_kraus(rho, build_channel(ChannelKind.PHASE_DAMPING, gamma))
     print(
         f"phase damping g={gamma}: diagonal unchanged "
         f"({np.real(np.diag(out)).round(6)}), off-diagonal scaled by "

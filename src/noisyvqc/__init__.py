@@ -3,7 +3,7 @@
 The package is organized bottom-up:
 
 * :mod:`noisyvqc.linalg`    -- Pauli matrices and dense matrix predicates
-* :mod:`noisyvqc.channels`  -- the five Kraus noise channels
+* :mod:`noisyvqc.channels`  -- the five Kraus noise channels, as tuples of 2x2 operators
 * :mod:`noisyvqc.circuit`   -- the ansatz configuration, parameter shape and CNOT
 * :mod:`noisyvqc.evaluator` -- the gate library: batched evaluation of the ansatz
 * :mod:`noisyvqc.simulator` -- the reference oracle: a fold over 4x4 Kraus sets
@@ -14,11 +14,11 @@ The package is organized bottom-up:
 * :mod:`noisyvqc.cli`       -- the ``noisyvqc`` command-line driver
 """
 
-from .channels import ChannelKind, KrausChannel, NOISY_KINDS, apply_channel, build_channel, verify_completeness
-from .circuit import AnsatzConfig, cnot_matrix
+from .channels import ChannelKind, NOISY_KINDS, build_channel, verify_completeness
+from .circuit import CNOT, AnsatzConfig
 from .data import Dataset, PreprocessStats, feature_stats, load_iris_binary, preprocess, split
 from .evaluator import ansatz_expectations
-from .simulator import ansatz_kraus_sets, run
+from .simulator import ansatz_kraus_sets, apply_kraus, on_qubit, run
 from .sweep import CellSummary, SweepConfig, execute_run, run_sweep, summarize
 from .training import (
     RunRecord,

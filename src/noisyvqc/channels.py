@@ -1,4 +1,4 @@
-"""Single-qubit Kraus noise channels and their action on density matrices.
+"""Single-qubit Kraus noise channels: each is the tuple of its 2x2 Kraus operators.
 
 Five noise models are supported, each parameterized by a single
 probability (written ``p`` for the flip/depolarizing channels and
@@ -13,8 +13,9 @@ play the identical role of channel strength and share one field here):
 
 A sixth kind, ``NONE``, is the identity channel used for noise-free
 baselines.  A channel acts on a state as ``rho -> sum_i K_i rho K_i^dag``
-and every constructed channel satisfies the completeness relation
-``sum_i K_i^dag K_i == I``.
+(``simulator.apply_kraus``; on one qubit of the register, through
+``simulator.on_qubit``), and every constructed channel satisfies the
+completeness relation ``sum_i K_i^dag K_i == I``.
 
 Kraus operators that degenerate to the zero matrix (at p = 0 or p = 1)
 are kept rather than pruned; the uniform structure costs nothing at
@@ -26,7 +27,6 @@ in the lowest module that checks one: ``check_probability``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -78,17 +78,8 @@ def check_probability(probability: float, field: str = "probability") -> float:
     return abs(p)
 
 
-@dataclass(frozen=True)
-class KrausChannel:
-    """One noise model at one strength, realized as 2x2 Kraus operators."""
-
-    kind: ChannelKind
-    probability: float
-    kraus_ops: tuple[np.ndarray, ...]
-
-
-def build_channel(kind: ChannelKind, probability: float) -> KrausChannel:
-    """Construct the Kraus operators for ``kind`` at the given strength."""
+def build_channel(kind: ChannelKind, probability: float) -> tuple[np.ndarray, ...]:
+    """The 2x2 Kraus operators of ``kind`` at the given strength."""
     p = check_probability(probability)
     if kind is ChannelKind.NONE:
         ops = (I2.copy(),)
@@ -115,14 +106,14 @@ def build_channel(kind: ChannelKind, probability: float) -> KrausChannel:
         )
     else:
         raise ValueError(f"unknown channel kind: {kind!r}")
-    return KrausChannel(kind=kind, probability=p, kraus_ops=ops)
+    return ops
 
 
-def verify_completeness(channel: KrausChannel, tol: float = 1e-12) -> bool:
-    """True iff ``sum_i K_i^dag K_i`` equals the identity within ``tol``."""
+def verify_completeness(ops, tol: float = 1e-12) -> bool:
+    """True iff ``sum_i K_i^dag K_i`` over the 2x2 ``ops`` equals the identity within ``tol``."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    total = sum(dagger(k) @ k for k in channel.kraus_ops)
+    total = sum(dagger(k) @ k for k in ops)
     return max_abs(total - I2) <= tol
 
 
@@ -137,25 +128,3 @@ def embed_kraus(k: np.ndarray, target: int) -> np.ndarray:
     if target == 1:
         return np.kron(I2, k)
     raise ValueError(f"target must be 0 or 1, got {target}")
-
-
-def apply_channel(rho: np.ndarray, channel: KrausChannel, target: int = 0) -> np.ndarray:
-    """Apply ``rho -> sum_i K_i rho K_i^dag`` on the given qubit.
-
-    Accepts a 2x2 state (single-qubit harness; target must be 0) or a
-    4x4 register state, where the Kraus operators are embedded per the
-    qubit-ordering convention.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape == (2, 2):
-        if target != 0:
-            raise ValueError("single-qubit states only have target 0")
-        ops = channel.kraus_ops
-    elif rho.shape == (4, 4):
-        ops = tuple(embed_kraus(k, target) for k in channel.kraus_ops)
-    else:
-        raise ValueError(f"state must be 2x2 or 4x4, got shape {rho.shape}")
-    out = np.zeros_like(rho)
-    for k in ops:
-        out += k @ rho @ dagger(k)
-    return out

@@ -31,19 +31,9 @@ N_QUBITS = 2
 #: trainable angles per qubit per layer (the three Rot Euler angles)
 ANGLES_PER_ROT = 3
 DEFAULT_LAYERS = 5
-
-
-def cnot_matrix(control: int = 0, target: int = 1) -> np.ndarray:
-    """CNOT on the two-qubit register; flips ``target`` when ``control`` is |1>."""
-    if {control, target} != {0, 1}:
-        raise ValueError(f"control/target must be qubits 0 and 1, got {control}, {target}")
-    m = np.zeros((4, 4), dtype=complex)
-    for basis in range(4):
-        bits = [(basis >> 1) & 1, basis & 1]  # qubit 0 is the high bit
-        if bits[control]:
-            bits[target] ^= 1
-        m[bits[0] * 2 + bits[1], basis] = 1
-    return m
+#: the CNOT with qubit 0 (the high bit) controlling qubit 1; read-only
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+CNOT.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -51,7 +41,8 @@ class AnsatzConfig:
     """Shape and noise configuration of the classifier ansatz.
 
     The one place that checks the layer count; a rejected value raises
-    :class:`SettingError`.
+    :class:`SettingError`.  ``probability`` is stored as
+    :func:`check_probability` returns it, so -0.0 reads as 0.0.
     """
 
     channel: ChannelKind = ChannelKind.NONE
@@ -59,7 +50,7 @@ class AnsatzConfig:
     n_layers: int = DEFAULT_LAYERS
 
     def __post_init__(self) -> None:
-        check_probability(self.probability)
+        object.__setattr__(self, "probability", check_probability(self.probability))
         if self.n_layers < 1:
             raise SettingError("n_layers", f"must be at least 1, got {self.n_layers}")
 

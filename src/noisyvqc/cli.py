@@ -49,6 +49,17 @@ _FLAGS = {
 }
 
 
+def _out_dir(path: str) -> str:
+    """``--out`` as given, or an argparse error if it or its nearest existing
+    parent is not a directory, which would fail only after training."""
+    existing = path
+    while existing and not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise argparse.ArgumentTypeError(f"not a directory: {existing}")
+    return path
+
+
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, default=TrainSettings.steps, help="optimizer steps per run")
     parser.add_argument("--batch", type=int, default=TrainSettings.batch_size, help="samples per step")
@@ -56,7 +67,7 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr", type=float, default=TrainSettings.learning_rate, help="learning rate")
     parser.add_argument("--momentum", type=float, default=TrainSettings.momentum, help="momentum coefficient")
     parser.add_argument("--data", metavar="PATH", default=None, help="Iris CSV path (default: embedded copy)")
-    parser.add_argument("--out", metavar="DIR", default="results", help="output directory")
+    parser.add_argument("--out", metavar="DIR", type=_out_dir, default="results", help="output directory")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -46,10 +46,9 @@ import functools
 import numpy as np
 
 from .channels import ChannelKind, build_channel, embed_kraus
-from .circuit import AnsatzConfig, N_QUBITS, cnot_matrix, param_shape
+from .circuit import CNOT, AnsatzConfig, N_QUBITS, param_shape
 from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z
 
-_CNOT = cnot_matrix(0, 1)
 _PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
 
 #: row 4a + b is vec(P^T) for P = sigma_a x sigma_b over (I, X, Y, Z), so
@@ -191,12 +190,10 @@ def static_layer_superop(config: AnsatzConfig) -> np.ndarray:
     on qubit 0, noise on qubit 1.  Noise-free configs reduce to the
     CNOT conjugation alone.  The cached array is read-only.
     """
-    out = kraus_superop([_CNOT])
+    out = kraus_superop([CNOT])
     if config.channel is not ChannelKind.NONE:
-        ch = build_channel(config.channel, config.probability)
-        noise = [
-            kraus_superop([embed_kraus(k, q) for k in ch.kraus_ops]) for q in range(N_QUBITS)
-        ]
+        ops = build_channel(config.channel, config.probability)
+        noise = [kraus_superop([embed_kraus(k, q) for k in ops]) for q in range(N_QUBITS)]
         both = noise[1] @ noise[0]
         out = both @ out @ both
     out.flags.writeable = False

@@ -1,7 +1,8 @@
 """Reference density-matrix simulator: a deliberately simple oracle.
 
 A circuit is a list of Kraus sets of 4x4 register operators, folded in
-order as ``rho -> sum_k K rho K^dag``; a unitary gate is a set of one.
+order as ``rho -> sum_k K rho K^dag``; a unitary gate is a set of one,
+and a noise channel on qubit q is ``on_qubit(build_channel(...), q)``.
 Every gate is built from its textbook definition, independently of the
 closed forms in :mod:`noisyvqc.evaluator`, and the test suite pins the
 two paths together at 1e-12.  Expectation values are computed
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from .channels import ChannelKind, build_channel, embed_kraus
-from .circuit import AnsatzConfig, N_QUBITS, cnot_matrix, param_shape
+from .circuit import CNOT, AnsatzConfig, N_QUBITS, param_shape
 from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, is_hermitian, min_eigenvalue
 
 TRACE_TOL = 1e-10
@@ -58,15 +59,15 @@ def ansatz_kraus_sets(features, params, config: AnsatzConfig) -> list[list[np.nd
         raise ValueError(f"params shape {params.shape} does not match {param_shape(config)}")
     noise = []
     if config.channel is not ChannelKind.NONE:
-        kraus = build_channel(config.channel, config.probability).kraus_ops
-        noise = [on_qubit(kraus, q) for q in range(N_QUBITS)]
+        ops = build_channel(config.channel, config.probability)
+        noise = [on_qubit(ops, q) for q in range(N_QUBITS)]
 
     sets = [on_qubit([rotation(PAULI_X, features[q])], q) for q in range(N_QUBITS)]
     for layer in params:
         for q, (phi, theta, omega) in enumerate(layer):
             rot = rotation(PAULI_Z, omega) @ rotation(PAULI_Y, theta) @ rotation(PAULI_Z, phi)
             sets.append(on_qubit([rot], q))
-        sets += noise + [[cnot_matrix(0, 1)]] + noise
+        sets += noise + [[CNOT]] + noise
     return sets
 
 
@@ -78,7 +79,11 @@ def init_state() -> np.ndarray:
 
 
 def apply_kraus(rho: np.ndarray, ops) -> np.ndarray:
-    """Advance ``rho`` by one Kraus set: ``sum_k K rho K^dag``."""
+    """Advance ``rho`` by one Kraus set of its size: ``sum_k K rho K^dag``.
+
+    A channel from ``channels.build_channel`` acts on a 2x2 state as it
+    is, and on one qubit of the register as ``on_qubit(ops, target)``.
+    """
     return sum(k @ rho @ dagger(k) for k in ops)
 
 

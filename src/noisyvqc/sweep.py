@@ -104,6 +104,10 @@ class SweepConfig:
             keys = {"seeds": self.seeds, "probabilities": [f"{p:g}" for p in self.probabilities]}
             field = next((f for f, k in keys.items() if len(set(k)) < len(k)), "channels")
             raise SettingError(field, f"two runs would share run id {shared[0]}")
+        # baselines come from run_specs; a grid "none" at p > 0 would train
+        # noise-free under another cell's label
+        if ChannelKind.NONE in self.channels:
+            raise SettingError("channels", "none is not a noise channel; baselines run per seed")
         # the CSVs print 6 decimals, and summarize groups runs by the value read back
         written = [float(f"{p:.6f}") for p in self.probabilities]
         for i, w in enumerate(written):
@@ -152,7 +156,6 @@ def execute_run(
     RNG, so a (channel, probability, seed) triple pins the entire run.
     """
     settings = TrainSettings(**training)
-    probability = check_probability(probability)
     config = AnsatzConfig(channel=channel, probability=probability, n_layers=n_layers)
     if channel is ChannelKind.NONE and config.probability != 0.0:
         raise SettingError("probability", f"must be 0 for channel none, got {probability:g}")

@@ -2,35 +2,26 @@ import numpy as np
 import pytest
 
 from noisyvqc.channels import ChannelKind, SettingError
-from noisyvqc.circuit import AnsatzConfig, cnot_matrix
+from noisyvqc.circuit import CNOT, AnsatzConfig
 
 
 class TestCnotMatrix:
     def test_flips_target_when_control_set(self):
-        cnot = cnot_matrix()
         ket10 = np.array([0, 0, 1, 0], dtype=complex)
         ket11 = np.array([0, 0, 0, 1], dtype=complex)
-        np.testing.assert_array_equal(cnot @ ket10, ket11)
+        np.testing.assert_array_equal(CNOT @ ket10, ket11)
 
     def test_leaves_00_alone(self):
         ket00 = np.array([1, 0, 0, 0], dtype=complex)
-        np.testing.assert_array_equal(cnot_matrix() @ ket00, ket00)
+        np.testing.assert_array_equal(CNOT @ ket00, ket00)
 
     def test_involution(self):
-        np.testing.assert_array_equal(cnot_matrix() @ cnot_matrix(), np.eye(4))
+        np.testing.assert_array_equal(CNOT @ CNOT, np.eye(4))
 
-    def test_reversed_orientation(self):
-        # control on qubit 1 flips qubit 0: |01> -> |11>
-        cnot = cnot_matrix(control=1, target=0)
-        ket01 = np.array([0, 1, 0, 0], dtype=complex)
-        ket11 = np.array([0, 0, 0, 1], dtype=complex)
-        np.testing.assert_array_equal(cnot @ ket01, ket11)
-
-    def test_invalid_qubits(self):
-        with pytest.raises(ValueError):
-            cnot_matrix(0, 0)
-        with pytest.raises(ValueError):
-            cnot_matrix(0, 2)
+    def test_read_only(self):
+        # one shared array serves the evaluator and the oracle
+        with pytest.raises(ValueError, match="read-only"):
+            CNOT[0, 0] = 0
 
 
 class TestAnsatzConfig:
@@ -43,3 +34,7 @@ class TestAnsatzConfig:
         with pytest.raises(SettingError, match="must be at least 1") as exc:
             AnsatzConfig(n_layers=0)
         assert exc.value.field == "n_layers"
+
+    def test_negative_zero_probability_is_stored_as_zero(self):
+        config = AnsatzConfig(ChannelKind.BIT_FLIP, -0.0)
+        assert str(config.probability) == "0.0"

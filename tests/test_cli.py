@@ -102,6 +102,27 @@ class TestTrainingFlagValidation:
         assert f"error: argument {flag}:" in err
 
 
+class TestOutIsAFile:
+    @pytest.mark.parametrize(
+        "command", [["run", "--channel", "none"], ["sweep", "--workers", "1"]], ids=["run", "sweep"]
+    )
+    @pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "under-file"])
+    def test_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch, command, below):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting --out")
+
+        monkeypatch.setattr("noisyvqc.sweep.train", no_training)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--steps", "2", "--out", str(afile.joinpath(*below))])
+        assert exc.value.code == 2
+        assert afile.read_text() == "kept\n"
+        err = capsys.readouterr().err
+        assert f"usage: noisyvqc {command[0]}" in err
+        assert f"error: argument --out: not a directory: {afile}" in err
+
+
 class TestBadDataFile:
     @pytest.mark.parametrize("command", [["run", "--channel", "none"], ["sweep", "--workers", "1"]])
     @pytest.mark.parametrize(

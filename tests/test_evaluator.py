@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from noisyvqc import evaluator
 from noisyvqc.channels import ChannelKind
-from noisyvqc.circuit import AnsatzConfig, cnot_matrix, param_shape
+from noisyvqc.circuit import CNOT, AnsatzConfig, param_shape
 from noisyvqc.evaluator import (
     ansatz_expectations,
     kraus_superop,
@@ -88,9 +88,7 @@ class TestGateMatrixStacks:
 class TestSuperops:
     def test_noise_free_layer_is_cnot_conjugation(self):
         cfg = AnsatzConfig(n_layers=1)
-        np.testing.assert_array_equal(
-            static_layer_superop(cfg), kraus_superop([cnot_matrix()])
-        )
+        np.testing.assert_array_equal(static_layer_superop(cfg), kraus_superop([CNOT]))
 
     def test_cached_superop_is_read_only_and_equal_to_a_fresh_build(self):
         cfg = AnsatzConfig(channel=ChannelKind.AMPLITUDE_DAMPING, probability=0.4, n_layers=2)
@@ -101,7 +99,7 @@ class TestSuperops:
         np.testing.assert_array_equal(cached, static_layer_superop.__wrapped__(cfg))
 
     def test_unitary_superop_action(self, rng):
-        u = cnot_matrix()
+        u = CNOT
         rho = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         vec_out = kraus_superop([u]) @ rho.reshape(16)
         np.testing.assert_allclose(vec_out.reshape(4, 4), u @ rho @ u.conj().T, atol=1e-14)

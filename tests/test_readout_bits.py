@@ -1,17 +1,20 @@
-"""The benchmark's grid input for training seed 2 reproduces its recorded outputs.
+"""The benchmark's grid input reproduces its recorded outputs for every training seed.
 
 That grid has a training sample at exactly x0 = pi/2, whose model output
 near the zero-mean init is about -2.8e-17: rounding alone decides its
 predicted class.  An evaluator that reorders the readout arithmetic,
 such as evolving Z backward through the layers once instead of the states
 forward, flips ``train_acc`` by 1/76 in some of these runs.  This test
-runs the grid through the sweep and checks it with the benchmark's own
-reference check (``perfbench/reference.py``): a cost may move by one unit
-in the 6th decimal, every other field must match.
+runs the grid through the sweep for each of ``run.GRID_TRAINING_SEEDS``
+and checks it with the benchmark's own reference check
+(``perfbench/reference.py``): a cost may move by one unit in the 6th
+decimal, every other field must match.
 """
 
 import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -22,9 +25,10 @@ import run  # noqa: E402
 from noisyvqc.sweep import SweepConfig, run_sweep, write_sweep_outputs  # noqa: E402
 
 
-def test_grid_seed_2_matches_reference(tmp_path):
-    inputs = run.workload_inputs("grid_serial", run.GRID_TRAINING_SEEDS.index(2))
-    assert inputs.ref_dir.name == "seed-2"
+@pytest.mark.parametrize("seed", run.GRID_TRAINING_SEEDS)
+def test_grid_matches_reference(tmp_path, seed):
+    inputs = run.workload_inputs("grid_serial", run.GRID_TRAINING_SEEDS.index(seed))
+    assert inputs.ref_dir.name == f"seed-{seed}"
     config = SweepConfig(**inputs.config_kwargs, out_dir=str(tmp_path))
     records = run_sweep(config)
     assert len(records) == 11

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noisyvqc.channels import NOISY_KINDS, ChannelKind, build_channel
-from noisyvqc.circuit import AnsatzConfig, cnot_matrix, param_shape
+from noisyvqc.circuit import CNOT, AnsatzConfig, param_shape
 from noisyvqc.evaluator import rot_matrices, rx_matrices
 from noisyvqc.linalg import I2, PAULI_X, PAULI_Z, dagger, max_abs
 from noisyvqc.simulator import (
@@ -29,7 +29,7 @@ def rx(theta, target=0):
 
 
 def channel(kind, p, target=0):
-    return on_qubit(build_channel(kind, p).kraus_ops, target)
+    return on_qubit(build_channel(kind, p), target)
 
 
 class TestInitState:
@@ -51,7 +51,7 @@ class TestApplyKraus:
     def test_cnot_on_10(self):
         rho = np.diag([0, 0, 1, 0]).astype(complex)
         np.testing.assert_allclose(
-            apply_kraus(rho, [cnot_matrix()]), np.diag([0, 0, 0, 1]).astype(complex)
+            apply_kraus(rho, [CNOT]), np.diag([0, 0, 0, 1]).astype(complex)
         )
 
     def test_identity_rot(self, rng):
@@ -110,13 +110,13 @@ class TestAnsatzKrausSets:
         for layer in range(5):
             base = 2 + 7 * layer
             assert [len(s) for s in sets[base : base + 7]] == [1, 1, 2, 2, 1, 2, 2]
-            np.testing.assert_array_equal(sets[base + 4][0], cnot_matrix(0, 1))
+            np.testing.assert_array_equal(sets[base + 4][0], CNOT)
 
     def test_single_layer_order(self):
         cfg = AnsatzConfig(n_layers=1)
         sets = ansatz_kraus_sets(self.features, np.zeros(param_shape(cfg)), cfg)
         assert [len(s) for s in sets] == [1, 1, 1, 1, 1]
-        np.testing.assert_array_equal(sets[4][0], cnot_matrix(0, 1))
+        np.testing.assert_array_equal(sets[4][0], CNOT)
 
     def test_encoding_not_followed_by_noise(self):
         cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.9, n_layers=3)

@@ -22,7 +22,8 @@ from noisyvqc.sweep import (
     write_summary_csv,
     write_sweep_outputs,
 )
-from noisyvqc.training import RunRecord, StepRecord, TrainSettings
+from noisyvqc.circuit import AnsatzConfig
+from noisyvqc.training import RunRecord, StepRecord, TrainSettings, train
 
 TINY = dict(steps=4, batch_size=3, n_layers=1)
 TRAINING_FIELDS = {f.name for f in fields(TrainSettings)}
@@ -249,6 +250,12 @@ class TestRunSweep:
             SweepConfig(**{**settings, **grid})
         assert exc.value.field == field
 
+    def test_rejects_noise_free_channel_in_the_grid(self):
+        # it would train noise-free under the label of a p = 0.5 cell
+        with pytest.raises(SettingError, match="none is not a noise channel") as exc:
+            SweepConfig(channels=(ChannelKind.NONE,), probabilities=(0.5,))
+        assert exc.value.field == "channels"
+
     @pytest.mark.parametrize("probs", [(0.0, 1e-9), (1e-7, 2e-7), (0.01, 0.0100001)])
     def test_rejects_probabilities_equal_in_csv(self, probs):
         # run ids differ, but results.csv writes both as one 6-decimal value
@@ -286,6 +293,15 @@ class TestCsvRoundTrip:
         header, row = open(path).read().splitlines()
         assert header == CSV_HEADER
         assert row == "phase-flip_0.1_3,phase-flip,0.100000,3,1,0.100000,0.500000,0.500000"
+
+    def test_negative_zero_config_writes_the_zero_label(self, tmp_path):
+        features = np.array([[0.5, 1.0], [2.5, 1.0]])
+        labels = np.array([-1, 1])
+        config = AnsatzConfig(ChannelKind.BIT_FLIP, -0.0, n_layers=1)
+        record = train(features, labels, features, labels, config, TrainSettings(steps=1), seed=1)
+        path = str(tmp_path / "run.csv")
+        write_results_csv(path, [record])
+        assert open(path).read().splitlines()[1].startswith("bit-flip_0_1,bit-flip,0.000000,1,1,")
 
     def test_rejects_unknown_header(self, tmp_path):
         path = tmp_path / "bad.csv"
