@@ -13,8 +13,7 @@ from noisyvqc.svg import emit_svg
 
 
 def digest(record, every=10):
-    accs = [s.val_accuracy for s in record.steps]
-    cost = [s.cost for s in record.steps]
+    accs, cost = record.val_acc, record.cost
     name = f"{record.channel.value} p={record.probability:g}"
     print(f"\n{name}: final-10 mean validation accuracy {record.final_val_accuracy():.3f}")
     print("  step:      " + "".join(f"{i:>6}" for i in range(every, 101, every)))

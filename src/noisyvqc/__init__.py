@@ -23,7 +23,6 @@ from .sweep import CellSummary, SweepConfig, execute_run, run_sweep, summarize
 from .training import (
     RunRecord,
     SettingError,
-    StepRecord,
     TrainSettings,
     accuracy,
     batch_cost,

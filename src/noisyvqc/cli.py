@@ -50,8 +50,11 @@ _FLAGS = {
 
 
 def _out_dir(path: str) -> str:
-    """``--out`` as given, or an argparse error if it or its nearest existing
-    parent is not a directory, which would fail only after training."""
+    """``--out`` as given, or an argparse error if it is empty or it or its
+    nearest existing parent is not a directory, which would fail only after
+    training."""
+    if not path:
+        raise argparse.ArgumentTypeError("must name a directory, got ''")
     existing = path
     while existing and not os.path.exists(existing):
         existing = os.path.dirname(existing)
@@ -117,7 +120,7 @@ def _cmd_run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     path = os.path.join(args.out, run_filename(channel, record.probability, args.seed))
     write_results_csv(path, [record])
     final = record.final_val_accuracy()
-    print(f"wrote {path} ({len(record.steps)} steps, final val acc {final:.3f})")
+    print(f"wrote {path} ({len(record.cost)} steps, final val acc {final:.3f})")
     return 0
 
 

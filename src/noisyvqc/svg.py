@@ -28,13 +28,13 @@ VAL_COLOR = "#ff7f0e"
 
 
 def _mean_curves(records: Sequence[RunRecord]) -> tuple[np.ndarray, np.ndarray]:
-    lengths = {len(r.steps) for r in records}
+    lengths = {len(r.val_acc) for r in records}
     if lengths == {0}:
         raise ValueError("records contain no steps")
     if len(lengths) != 1:
         raise ValueError("records must all have the same number of steps")
-    train = np.mean([[s.train_accuracy for s in r.steps] for r in records], axis=0)
-    val = np.mean([[s.val_accuracy for s in r.steps] for r in records], axis=0)
+    train = np.mean([r.train_acc for r in records], axis=0)
+    val = np.mean([r.val_acc for r in records], axis=0)
     return train, val
 
 

@@ -8,11 +8,12 @@ one noise-free baseline per seed, writes a CSV per run, a combined
 A configuration counts as trainable when the mean over its seeds of the
 final-10-step mean validation accuracy reaches 0.80.
 
-Runs are fully independent (each owns its RNG seeded from the run seed,
-covering the data split, parameter init, and batch sampling), so they
-can execute on a process pool; results are keyed and ordered by
-configuration, never by completion time, which makes every output file
-byte-identical across repeated invocations and worker counts.
+Each seed's split is drawn and scaled once, from the seed, and every run
+of that seed trains on it.  Runs are otherwise independent (each owns
+its RNG seeded from the run seed, covering parameter init and batch
+sampling), so they can execute on a process pool; results are keyed and
+ordered by configuration, never by completion time, which makes every
+output file byte-identical across repeated invocations and worker counts.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 
 from .channels import NOISY_KINDS, ChannelKind, SettingError, check_probability
 from .circuit import DEFAULT_LAYERS, AnsatzConfig
-from .data import Dataset, check_split, feature_stats, load_iris_binary, preprocess, split
+from .data import check_split, feature_stats, load_iris_binary, preprocess, split
 from .svg import emit_svg
-from .training import RunRecord, StepRecord, TrainSettings, train
+from .training import RunRecord, TrainSettings, train
 
 DEFAULT_PROBABILITIES = tuple(round(0.1 * i, 1) for i in range(1, 11))
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
@@ -52,26 +53,34 @@ def _check_run_inputs(seeds: Sequence[int], data_path: str | None) -> None:
         raise SettingError("data_path", f"no such file: {data_path}")
 
 
-def load_dataset(data_path: str | None, seeds: Sequence[int]) -> Dataset:
-    """The dataset of a sweep or a run, parsed and checked once before any run.
+def load_dataset(data_path: str | None, seeds: Sequence[int]) -> dict[int, tuple]:
+    """Each seed's scaled split, parsed, split and checked once before any run.
 
-    A file that does not parse, holds fewer than two classes, or whose
-    split would leave a side empty (:func:`data.check_split`, the same
-    for every seed) raises :class:`SettingError` under ``data_path``, as
-    does a feature that is constant on the training split of one of
-    ``seeds`` (:func:`data.feature_stats` could not scale it).
+    Returns ``{seed: (train_features, train_labels, val_features,
+    val_labels)}``, the first four arguments of :func:`training.train`:
+    the split of :func:`data.split` with the features min-max scaled by
+    the training side's statistics.  A file that does not parse, holds
+    fewer than two classes, or whose split would leave a side empty
+    (:func:`data.check_split`, the same for every seed) raises
+    :class:`SettingError` under ``data_path``, as does a feature that is
+    constant on the training split of one of ``seeds``
+    (:func:`data.feature_stats` could not scale it).
     """
     try:
         dataset = load_iris_binary(data_path)
         check_split(dataset)
     except ValueError as exc:
         raise SettingError("data_path", str(exc)) from exc
+    splits = {}
     for seed in seeds:
+        train_ds, val_ds = split(dataset, seed=seed)
         try:
-            feature_stats(split(dataset, seed=seed)[0].features)
+            stats = feature_stats(train_ds.features)
         except ValueError as exc:
             raise SettingError("data_path", f"seed {seed}: {exc}") from exc
-    return dataset
+        splits[seed] = (preprocess(train_ds.features, stats), train_ds.labels,
+                        preprocess(val_ds.features, stats), val_ds.labels)
+    return splits
 
 
 @dataclass(frozen=True)
@@ -160,44 +169,28 @@ def execute_run(
     if channel is ChannelKind.NONE and config.probability != 0.0:
         raise SettingError("probability", f"must be 0 for channel none, got {probability:g}")
     _check_run_inputs((seed,), data_path)
-    return _train_on(load_dataset(data_path, (seed,)), config, settings, seed)
-
-
-def _train_on(
-    dataset: Dataset, config: AnsatzConfig, settings: TrainSettings, seed: int
-) -> RunRecord:
-    """Split, preprocess, and train one configuration on a loaded dataset."""
-    train_ds, val_ds = split(dataset, seed=seed)
-    stats = feature_stats(train_ds.features)
-    return train(
-        preprocess(train_ds.features, stats),
-        train_ds.labels,
-        preprocess(val_ds.features, stats),
-        val_ds.labels,
-        config,
-        settings,
-        seed=seed,
-    )
+    return train(*load_dataset(data_path, (seed,))[seed], config, settings, seed=seed)
 
 
 def run_sweep(config: SweepConfig, progress=None) -> list[RunRecord]:
     """Execute every run of the sweep, in parallel up to ``workers``.
 
-    The data file is parsed and checked once (:func:`load_dataset`) and
-    the dataset handed to every run.
+    The data file is parsed, split and scaled once per seed
+    (:func:`load_dataset`), and each run trains on its seed's split.
     The returned list follows ``config.run_specs()`` order regardless of
     scheduling, so downstream output is deterministic.
     """
     specs = config.run_specs()
-    dataset = load_dataset(config.data_path, config.seeds)
+    splits = load_dataset(config.data_path, config.seeds)
     configs = [
         AnsatzConfig(channel=ch, probability=p, n_layers=config.n_layers) for ch, p, _ in specs
     ]
-    args = (repeat(dataset), configs, repeat(config.training), [seed for *_, seed in specs])
+    seeds = [seed for *_, seed in specs]
+    args = (*zip(*(splits[seed] for seed in seeds)), configs, repeat(config.training), seeds)
     workers = config.workers or os.cpu_count() or 1
     records: list[RunRecord] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = pool.map(_train_on, *args, chunksize=4) if pool else map(_train_on, *args)
+        results = pool.map(train, *args, chunksize=4) if pool else map(train, *args)
         for record in results:
             records.append(record)
             if progress:
@@ -221,21 +214,29 @@ def run_filename(channel: ChannelKind, probability: float, seed: int) -> str:
 def write_results_csv(path: str, records: Sequence[RunRecord]) -> None:
     """Write a results.csv, or a single-run CSV when given one record.
 
-    One row per recorded step; floats are printed with 6 decimal places.
+    One row per recorded step, numbered from 1 by its position in the
+    record's columns; floats are printed with 6 decimal places.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(CSV_HEADER + "\n")
         for r in records:
             rid = run_id(r.channel, r.probability, r.seed)
+            steps = enumerate(zip(r.cost, r.train_acc, r.val_acc, strict=True), start=1)
             f.writelines(
                 f"{rid},{r.channel.value},{r.probability:.6f},{r.seed},"
-                f"{s.step},{s.cost:.6f},{s.train_accuracy:.6f},{s.val_accuracy:.6f}\n"
-                for s in r.steps
+                f"{step},{cost:.6f},{train_acc:.6f},{val_acc:.6f}\n"
+                for step, (cost, train_acc, val_acc) in steps
             )
 
 
 def read_results_csv(path: str) -> list[RunRecord]:
-    """Parse a results.csv (or single-run CSV) back into run records."""
+    """Parse a results.csv (or single-run CSV) back into run records.
+
+    A run's rows must number its steps 1, 2, ... in order and repeat the
+    channel, prob and seed of its first row; a row that breaks either
+    rule (two files concatenated, or a run id reused by another run)
+    raises ``ValueError`` naming its line.
+    """
     records: dict[str, RunRecord] = {}
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
@@ -249,20 +250,19 @@ def read_results_csv(path: str) -> list[RunRecord]:
             if len(fields) != 8:
                 raise ValueError(f"line {line_no}: expected 8 columns")
             rid, channel, prob, seed, step, cost, train_acc, val_acc = fields
+            config = (ChannelKind(channel), float(prob), int(seed))
             record = records.get(rid)
             if record is None:
-                record = RunRecord(
-                    channel=ChannelKind(channel), probability=float(prob), seed=int(seed)
+                record = records[rid] = RunRecord(*config)
+            elif config != (record.channel, record.probability, record.seed):
+                raise ValueError(f"line {line_no}: run {rid} changes its channel, prob or seed")
+            if int(step) != len(record.cost) + 1:
+                raise ValueError(
+                    f"line {line_no}: run {rid} has step {step} after {len(record.cost)} steps"
                 )
-                records[rid] = record
-            record.steps.append(
-                StepRecord(
-                    step=int(step),
-                    cost=float(cost),
-                    train_accuracy=float(train_acc),
-                    val_accuracy=float(val_acc),
-                )
-            )
+            record.cost.append(float(cost))
+            record.train_acc.append(float(train_acc))
+            record.val_acc.append(float(val_acc))
     return list(records.values())
 
 

@@ -149,30 +149,26 @@ def nesterov_step(
     return params - velocity, velocity
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Metrics recorded after one optimizer step."""
-
-    step: int
-    cost: float
-    train_accuracy: float
-    val_accuracy: float
-
-
 @dataclass
 class RunRecord:
-    """Full history of one training run plus its configuration."""
+    """One training run: its configuration and per-step history.
+
+    The history is three columns named as in the CSVs; entry i of each
+    is step i + 1.
+    """
 
     channel: ChannelKind
     probability: float
     seed: int
-    steps: list[StepRecord] = field(default_factory=list)
+    cost: list[float] = field(default_factory=list)
+    train_acc: list[float] = field(default_factory=list)
+    val_acc: list[float] = field(default_factory=list)
 
     def final_val_accuracy(self) -> float:
         """Mean validation accuracy over the last ``FINAL_WINDOW`` steps."""
-        if not self.steps:
+        if not self.val_acc:
             raise ValueError("run has no recorded steps")
-        return float(np.mean([s.val_accuracy for s in self.steps[-FINAL_WINDOW:]]))
+        return float(np.mean(self.val_acc[-FINAL_WINDOW:]))
 
 
 def train(
@@ -187,12 +183,13 @@ def train(
     """Train the classifier and record per-step cost and accuracies.
 
     Each step samples ``settings.batch_size`` training points uniformly with
-    replacement, takes one Nesterov step on the batch cost, then records
+    replacement, takes one Nesterov step on the batch cost, then appends
     the batch cost and the full-split train/validation accuracies at the
-    updated parameters.  Parameters start from i.i.d. normal(0, INIT_STD)
-    draws, with ``INIT_STD`` = 1e-7 next to the all-zero stationary
-    point; all randomness comes from one PCG64 generator seeded with
-    ``seed``, so identical arguments reproduce the run bit for bit.
+    updated parameters to the record's three columns.  Parameters start
+    from i.i.d. normal(0, INIT_STD) draws, with ``INIT_STD`` = 1e-7 next
+    to the all-zero stationary point; all randomness comes from one PCG64
+    generator seeded with ``seed``, so identical arguments reproduce the
+    run bit for bit.
     The steps run on one BLAS thread (``evaluator.one_blas_thread``), so
     a process pool of runs is the only parallelism.
     """
@@ -211,7 +208,7 @@ def train(
     eval_features = np.vstack([train_features, val_features])
     record = RunRecord(channel=config.channel, probability=config.probability, seed=seed)
     with one_blas_thread():
-        for step in range(1, settings.steps + 1):
+        for _ in range(settings.steps):
             idx = rng.integers(0, n_train, size=settings.batch_size)
             batch_x, batch_y = train_features[idx], train_labels[idx]
             params, velocity = nesterov_step(
@@ -219,12 +216,7 @@ def train(
             )
             outputs = ansatz_expectations(eval_features, params, config)
             train_out, val_out = outputs[:n_train], outputs[n_train:]
-            record.steps.append(
-                StepRecord(
-                    step=step,
-                    cost=batch_cost(batch_y, train_out[idx]),
-                    train_accuracy=accuracy(train_labels, train_out),
-                    val_accuracy=accuracy(val_labels, val_out),
-                )
-            )
+            record.cost.append(batch_cost(batch_y, train_out[idx]))
+            record.train_acc.append(accuracy(train_labels, train_out))
+            record.val_acc.append(accuracy(val_labels, val_out))
     return record

@@ -122,6 +122,21 @@ class TestOutIsAFile:
         assert f"usage: noisyvqc {command[0]}" in err
         assert f"error: argument --out: not a directory: {afile}" in err
 
+    @pytest.mark.parametrize(
+        "command", [["run", "--channel", "none"], ["sweep", "--workers", "1"]], ids=["run", "sweep"]
+    )
+    def test_empty_out_exits_2_before_any_run(self, capsys, monkeypatch, command):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting --out")
+
+        monkeypatch.setattr("noisyvqc.sweep.train", no_training)
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--steps", "2", "--out", ""])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: noisyvqc {command[0]}" in err
+        assert "error: argument --out: must name a directory" in err
+
 
 class TestBadDataFile:
     @pytest.mark.parametrize("command", [["run", "--channel", "none"], ["sweep", "--workers", "1"]])
@@ -219,8 +234,23 @@ class TestSummarizeCommand:
         [
             ("run_id,channel\nx,none\n", "unexpected header"),
             (CSV_HEADER + "\n", "holds no runs"),
+            # two copies of a run's CSV concatenated: its steps restart at 1
+            (
+                CSV_HEADER + "\n" + "".join(
+                    f"bit-flip_0.5_1,bit-flip,0.500000,1,{step},0.1,0.5,0.5\n"
+                    for step in (1, 2, 3, 1, 2, 3)
+                ),
+                "line 5: run bit-flip_0.5_1 has step 1 after 3 steps",
+            ),
+            # another cell's row under the baseline's run id
+            (
+                CSV_HEADER + "\n"
+                "none_0_1,none,0.000000,1,1,0.1,0.5,0.5\n"
+                "none_0_1,bit-flip,0.300000,1,2,0.1,0.5,0.5\n",
+                "line 3: run none_0_1 changes its channel, prob or seed",
+            ),
         ],
-        ids=["bad-header", "header-only"],
+        ids=["bad-header", "header-only", "restarted-steps", "changed-cell"],
     )
     def test_bad_results_exits_2_without_summary(self, tmp_path, capsys, text, message):
         (tmp_path / "results.csv").write_text(text)

@@ -4,15 +4,12 @@ import pytest
 
 from noisyvqc.channels import ChannelKind
 from noisyvqc.svg import MARGIN_TOP, emit_svg
-from noisyvqc.training import RunRecord, StepRecord
+from noisyvqc.training import RunRecord
 
 
 def record_with(val_accs, channel=ChannelKind.PHASE_FLIP, prob=0.3, seed=1, train_accs=None):
-    record = RunRecord(channel=channel, probability=prob, seed=seed)
     train_accs = train_accs if train_accs is not None else val_accs
-    for i, (t, v) in enumerate(zip(train_accs, val_accs), start=1):
-        record.steps.append(StepRecord(step=i, cost=0.0, train_accuracy=t, val_accuracy=v))
-    return record
+    return RunRecord(channel, prob, seed, [0.0] * len(val_accs), list(train_accs), list(val_accs))
 
 
 def polyline_points(svg):

@@ -23,7 +23,7 @@ from noisyvqc.sweep import (
     write_sweep_outputs,
 )
 from noisyvqc.circuit import AnsatzConfig
-from noisyvqc.training import RunRecord, StepRecord, TrainSettings, train
+from noisyvqc.training import RunRecord, TrainSettings, train
 
 TINY = dict(steps=4, batch_size=3, n_layers=1)
 TRAINING_FIELDS = {f.name for f in fields(TrainSettings)}
@@ -42,10 +42,7 @@ def tiny_config(out_dir, workers=1, seeds=(1, 2)):
 
 
 def synthetic_record(channel, prob, seed, val_accs):
-    record = RunRecord(channel=channel, probability=prob, seed=seed)
-    for i, acc in enumerate(val_accs, start=1):
-        record.steps.append(StepRecord(step=i, cost=0.1, train_accuracy=acc, val_accuracy=acc))
-    return record
+    return RunRecord(channel, prob, seed, [0.1] * len(val_accs), list(val_accs), list(val_accs))
 
 
 class TestNaming:
@@ -62,12 +59,12 @@ class TestExecuteRun:
         record = execute_run(ChannelKind.PHASE_DAMPING, 0.2, seed=1, **TINY)
         assert record.channel is ChannelKind.PHASE_DAMPING
         assert record.probability == 0.2
-        assert len(record.steps) == 4
+        assert len(record.cost) == len(record.train_acc) == len(record.val_acc) == 4
 
     def test_seed_pins_everything(self):
         a = execute_run(ChannelKind.BIT_FLIP, 0.4, seed=7, **TINY)
         b = execute_run(ChannelKind.BIT_FLIP, 0.4, seed=7, **TINY)
-        assert a.steps == b.steps
+        assert a == b
 
     @pytest.mark.parametrize(
         "field,value", [("batch_size", 0), ("steps", 0), ("learning_rate", float("nan"))]
@@ -149,7 +146,7 @@ class TestRunSweep:
         with pytest.raises(SettingError, match="seed 2:"):
             execute_run(ChannelKind.NONE, 0.0, 2, data_path=str(data))
         monkeypatch.undo()
-        assert len(execute_run(ChannelKind.NONE, 0.0, 1, steps=2, data_path=str(data)).steps) == 2
+        assert len(execute_run(ChannelKind.NONE, 0.0, 1, steps=2, data_path=str(data)).cost) == 2
 
     def test_spec_order_and_count(self, tmp_path):
         config = tiny_config(tmp_path)
@@ -162,7 +159,7 @@ class TestRunSweep:
         serial = run_sweep(tiny_config(tmp_path / "a", workers=1))
         parallel = run_sweep(tiny_config(tmp_path / "b", workers=2))
         for x, y in zip(serial, parallel):
-            assert x.steps == y.steps
+            assert x == y
 
     def test_serial_sweep_parses_the_data_once(self, monkeypatch):
         calls = []
@@ -185,7 +182,7 @@ class TestRunSweep:
         assert calls == [None]
         for record, (channel, prob, seed) in zip(records, config.run_specs()):
             alone = execute_run(channel, prob, seed, steps=2, batch_size=2, n_layers=1)
-            assert record.steps == alone.steps
+            assert record == alone
 
     def test_requires_seeds(self):
         with pytest.raises(ValueError):
@@ -279,12 +276,13 @@ class TestCsvRoundTrip:
             assert loaded.channel is original.channel
             assert loaded.probability == original.probability
             assert loaded.seed == original.seed
-            assert [s.step for s in loaded.steps] == [s.step for s in original.steps]
+            assert len(loaded.cost) == len(original.cost)
             np.testing.assert_allclose(
-                [s.val_accuracy for s in loaded.steps],
-                [round(s.val_accuracy, 6) for s in original.steps],
-                atol=1e-12,
+                loaded.val_acc, [round(a, 6) for a in original.val_acc], atol=1e-12
             )
+        # rows number each run's steps from 1
+        rows = [line.split(",") for line in open(path).read().splitlines()[1:]]
+        assert [int(row[4]) for row in rows] == [*range(1, 5)] * len(records)
 
     def test_row_format_six_decimals(self, tmp_path):
         record = synthetic_record(ChannelKind.PHASE_FLIP, 0.1, 3, [0.5])
@@ -302,6 +300,31 @@ class TestCsvRoundTrip:
         path = str(tmp_path / "run.csv")
         write_results_csv(path, [record])
         assert open(path).read().splitlines()[1].startswith("bit-flip_0_1,bit-flip,0.000000,1,1,")
+
+    def test_rejects_a_restarted_step_sequence(self, tmp_path):
+        # two runs' CSVs concatenated would otherwise read as one longer run
+        path = str(tmp_path / "results.csv")
+        write_results_csv(path, [synthetic_record(ChannelKind.BIT_FLIP, 0.5, 1, [0.5] * 3)])
+        rows = open(path).read().splitlines(keepends=True)
+        with open(path, "a") as f:
+            f.writelines(rows[1:])
+        with pytest.raises(ValueError, match="line 5: run bit-flip_0.5_1 has step 1 after 3"):
+            read_results_csv(path)
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "none_0_1,bit-flip,0.000000,1,2,0.1,0.5,0.5",
+            "none_0_1,none,0.300000,1,2,0.1,0.5,0.5",
+            "none_0_1,none,0.000000,7,2,0.1,0.5,0.5",
+        ],
+        ids=["channel", "prob", "seed"],
+    )
+    def test_rejects_a_run_id_whose_cell_changes(self, tmp_path, row):
+        path = tmp_path / "results.csv"
+        path.write_text(f"{CSV_HEADER}\nnone_0_1,none,0.000000,1,1,0.1,0.5,0.5\n{row}\n")
+        with pytest.raises(ValueError, match="line 3: run none_0_1 changes its channel"):
+            read_results_csv(str(path))
 
     def test_rejects_unknown_header(self, tmp_path):
         path = tmp_path / "bad.csv"

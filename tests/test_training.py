@@ -14,7 +14,6 @@ from noisyvqc.simulator import on_qubit, rotation, run
 from noisyvqc.training import (
     RunRecord,
     SettingError,
-    StepRecord,
     TrainSettings,
     accuracy,
     batch_cost,
@@ -240,17 +239,15 @@ class TestTrain:
         cfg = AnsatzConfig(channel=ChannelKind.BIT_FLIP, probability=0.2, n_layers=2)
         first = train(tx, ty, vx, vy, cfg, TrainSettings(steps=6), seed=11)
         second = train(tx, ty, vx, vy, cfg, TrainSettings(steps=6), seed=11)
-        assert first.steps == second.steps
+        assert first == second
 
     def test_records_metrics_in_range(self, rng):
         tx, ty, vx, vy = self._tiny_splits(rng)
         record = train(tx, ty, vx, vy, AnsatzConfig(n_layers=2), TrainSettings(steps=12), seed=5)
-        assert len(record.steps) == 12
-        assert [s.step for s in record.steps] == list(range(1, 13))
-        for s in record.steps:
-            assert s.cost >= 0.0
-            assert 0.0 <= s.train_accuracy <= 1.0
-            assert 0.0 <= s.val_accuracy <= 1.0
+        assert len(record.cost) == len(record.train_acc) == len(record.val_acc) == 12
+        assert min(record.cost) >= 0.0
+        for column in (record.train_acc, record.val_acc):
+            assert 0.0 <= min(column) and max(column) <= 1.0
 
     def test_empty_train_split_rejected(self):
         with pytest.raises(ValueError):
@@ -267,9 +264,8 @@ class TestTrain:
 
     def test_final_val_accuracy_window(self):
         def final(val_accs):
-            record = RunRecord(channel=ChannelKind.NONE, probability=0.0, seed=0)
-            for i, acc in enumerate(val_accs, start=1):
-                record.steps.append(StepRecord(i, 0.0, acc, acc))
+            zeros = [0.0] * len(val_accs)
+            record = RunRecord(ChannelKind.NONE, 0.0, 0, zeros, list(val_accs), list(val_accs))
             return record.final_val_accuracy()
 
         # the mean covers exactly the last 10 steps, or every step of a shorter run
@@ -305,7 +301,7 @@ class TestOneBlasThread:
 
         monkeypatch.setattr(training, "ansatz_expectations", counting)
         record = train(*self._tiny_run())
-        assert len(record.steps) == 4
+        assert len(record.val_acc) == 4
         assert seen and set(seen) == {1}
         assert get() == before
 
@@ -365,8 +361,8 @@ class TestDepolarizingStaysNearChance:
         from noisyvqc.sweep import execute_run
 
         record = execute_run(ChannelKind.DEPOLARIZING, p, seed=1)
-        above = sum(1 for s in record.steps if s.val_accuracy > 0.5 + 0.2)
-        assert above < len(record.steps) / 2
+        above = sum(1 for acc in record.val_acc if acc > 0.5 + 0.2)
+        assert above < len(record.val_acc) / 2
 
 
 class TestDephasingTransparency:
