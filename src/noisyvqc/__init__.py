@@ -16,7 +16,7 @@ The package is organized bottom-up:
 
 from .channels import ChannelKind, NOISY_KINDS, build_channel, verify_completeness
 from .circuit import CNOT, AnsatzConfig
-from .data import Dataset, PreprocessStats, feature_stats, load_iris_binary, preprocess, split
+from .data import Dataset, load_iris_binary, preprocess, split
 from .evaluator import ansatz_expectations
 from .simulator import ansatz_kraus_sets, apply_kraus, on_qubit, run
 from .sweep import CellSummary, SweepConfig, execute_run, run_sweep, summarize

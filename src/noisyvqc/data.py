@@ -2,10 +2,10 @@
 
 The classifier works on the two linearly separable Iris classes, setosa
 (label -1) and versicolor (label +1), described by petal length and
-petal width.  Features are min-max scaled to encoding angles in
-[0, pi], with the scaling statistics always computed on the training
-split only.  Two features fill the two qubits exactly, so the padding
-half of "padding and normalizing" is a documented no-op here.
+petal width.  :func:`preprocess` takes both sides of a seed's
+:func:`split` and min-max scales them to encoding angles in [0, pi] by
+the training side's range alone.  Two features fill the two qubits
+exactly, so the padding half of "padding and normalizing" is a no-op.
 """
 
 from __future__ import annotations
@@ -38,14 +38,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-
-@dataclass(frozen=True)
-class PreprocessStats:
-    """Per-feature min and max of the training split."""
-
-    minimum: np.ndarray
-    maximum: np.ndarray
 
 
 def _parse_species(token: str, line_no: int) -> int | None:
@@ -110,25 +102,22 @@ def load_iris_binary(source: str | None = None) -> Dataset:
     return Dataset(features=np.array(features, dtype=float), labels=labels_arr)
 
 
-def feature_stats(features: np.ndarray) -> PreprocessStats:
-    """Min-max statistics of a (training) feature matrix."""
-    features = np.asarray(features, dtype=float)
-    lo = features.min(axis=0)
-    hi = features.max(axis=0)
+def preprocess(train: Dataset, val: Dataset) -> tuple[np.ndarray, ...]:
+    """Scale both sides of a split by the training side's per-feature range.
+
+    Features map linearly from the training [min, max] to angles in
+    [0, pi]; validation values outside that range clamp to its ends so
+    encoding angles never wrap.  Returns ``(train_features, train_labels,
+    val_features, val_labels)``, the first four arguments of
+    :func:`training.train`.
+    """
+    lo, hi = train.features.min(axis=0), train.features.max(axis=0)
     if np.any(hi <= lo):
         raise ValueError("each feature needs max > min on the training split")
-    return PreprocessStats(minimum=lo, maximum=hi)
-
-
-def preprocess(features: np.ndarray, stats: PreprocessStats) -> np.ndarray:
-    """Scale features linearly from [min, max] to angles in [0, pi].
-
-    Values outside the training range clamp to the ends of the range so
-    encoding angles never wrap.
-    """
-    features = np.asarray(features, dtype=float)
-    scaled = (features - stats.minimum) / (stats.maximum - stats.minimum)
-    return np.clip(scaled, 0.0, 1.0) * ANGLE_MAX
+    train_x, val_x = (
+        np.clip((x - lo) / (hi - lo), 0.0, 1.0) * ANGLE_MAX for x in (train.features, val.features)
+    )
+    return train_x, train.labels, val_x, val.labels
 
 
 def _train_share(count: int) -> int:

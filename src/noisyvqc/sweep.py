@@ -29,7 +29,7 @@ import numpy as np
 
 from .channels import NOISY_KINDS, ChannelKind, SettingError, check_probability
 from .circuit import DEFAULT_LAYERS, AnsatzConfig
-from .data import check_split, feature_stats, load_iris_binary, preprocess, split
+from .data import check_split, load_iris_binary, preprocess, split
 from .svg import emit_svg
 from .training import RunRecord, TrainSettings, train
 
@@ -58,13 +58,12 @@ def load_dataset(data_path: str | None, seeds: Sequence[int]) -> dict[int, tuple
 
     Returns ``{seed: (train_features, train_labels, val_features,
     val_labels)}``, the first four arguments of :func:`training.train`:
-    the split of :func:`data.split` with the features min-max scaled by
-    the training side's statistics.  A file that does not parse, holds
-    fewer than two classes, or whose split would leave a side empty
-    (:func:`data.check_split`, the same for every seed) raises
-    :class:`SettingError` under ``data_path``, as does a feature that is
-    constant on the training split of one of ``seeds``
-    (:func:`data.feature_stats` could not scale it).
+    the seed's :func:`data.split` scaled by :func:`data.preprocess`.  A
+    file that does not parse, holds fewer than two classes, or whose split
+    would leave a side empty (:func:`data.check_split`, the same for every
+    seed) raises :class:`SettingError` under ``data_path``, as does a
+    feature that is constant on the training split of one of ``seeds``
+    (:func:`data.preprocess` could not scale it).
     """
     try:
         dataset = load_iris_binary(data_path)
@@ -73,13 +72,10 @@ def load_dataset(data_path: str | None, seeds: Sequence[int]) -> dict[int, tuple
         raise SettingError("data_path", str(exc)) from exc
     splits = {}
     for seed in seeds:
-        train_ds, val_ds = split(dataset, seed=seed)
         try:
-            stats = feature_stats(train_ds.features)
+            splits[seed] = preprocess(*split(dataset, seed=seed))
         except ValueError as exc:
             raise SettingError("data_path", f"seed {seed}: {exc}") from exc
-        splits[seed] = (preprocess(train_ds.features, stats), train_ds.labels,
-                        preprocess(val_ds.features, stats), val_ds.labels)
     return splits
 
 
@@ -233,11 +229,13 @@ def read_results_csv(path: str) -> list[RunRecord]:
     """Parse a results.csv (or single-run CSV) back into run records.
 
     A run's rows must number its steps 1, 2, ... in order and repeat the
-    channel, prob and seed of its first row; a row that breaks either
-    rule (two files concatenated, or a run id reused by another run)
-    raises ``ValueError`` naming its line.
+    channel, prob and seed of its first row, which no other run id may
+    share; a row that breaks a rule (two files concatenated, a run id
+    reused, a run copied under another id) or holds a field that does
+    not parse raises ``ValueError`` naming its line.
     """
     records: dict[str, RunRecord] = {}
+    owners: dict[tuple, str] = {}  # (channel, prob, seed) -> run id
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
@@ -249,20 +247,29 @@ def read_results_csv(path: str) -> list[RunRecord]:
             fields = line.split(",")
             if len(fields) != 8:
                 raise ValueError(f"line {line_no}: expected 8 columns")
-            rid, channel, prob, seed, step, cost, train_acc, val_acc = fields
-            config = (ChannelKind(channel), float(prob), int(seed))
+            rid, channel, prob, seed, step, *values = fields
+            try:
+                config = (ChannelKind(channel), float(prob), int(seed))
+                step, cost, train_acc, val_acc = int(step), *map(float, values)
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from exc
+            if owners.setdefault(config, rid) != rid:
+                raise ValueError(
+                    f"line {line_no}: run {rid} repeats the channel, prob and seed of run "
+                    f"{owners[config]}"
+                )
             record = records.get(rid)
             if record is None:
                 record = records[rid] = RunRecord(*config)
             elif config != (record.channel, record.probability, record.seed):
                 raise ValueError(f"line {line_no}: run {rid} changes its channel, prob or seed")
-            if int(step) != len(record.cost) + 1:
+            if step != len(record.cost) + 1:
                 raise ValueError(
                     f"line {line_no}: run {rid} has step {step} after {len(record.cost)} steps"
                 )
-            record.cost.append(float(cost))
-            record.train_acc.append(float(train_acc))
-            record.val_acc.append(float(val_acc))
+            record.cost.append(cost)
+            record.train_acc.append(train_acc)
+            record.val_acc.append(val_acc)
     return list(records.values())
 
 

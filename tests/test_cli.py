@@ -249,8 +249,32 @@ class TestSummarizeCommand:
                 "none_0_1,bit-flip,0.300000,1,2,0.1,0.5,0.5\n",
                 "line 3: run none_0_1 changes its channel, prob or seed",
             ),
+            # a run's rows copied under another id would count as a second seed
+            (
+                CSV_HEADER + "\n" + "".join(
+                    f"{rid},bit-flip,0.500000,1,{step},0.1,0.5,0.5\n"
+                    for rid in ("bit-flip_0.5_1", "copy_of_run")
+                    for step in (1, 2)
+                ),
+                "line 4: run copy_of_run repeats the channel, prob and seed of run bit-flip_0.5_1",
+            ),
+            (
+                CSV_HEADER + "\nthermal_0.1_1,thermal,0.100000,1,1,0.1,0.5,0.5\n",
+                "line 2: 'thermal' is not a valid ChannelKind",
+            ),
+            (
+                CSV_HEADER + "\nnone_0_1,none,0.000000,1,x,0.1,0.5,0.5\n",
+                "line 2: invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                CSV_HEADER + "\nnone_0_1,none,0.000000,1,1,low,0.5,0.5\n",
+                "line 2: could not convert string to float: 'low'",
+            ),
         ],
-        ids=["bad-header", "header-only", "restarted-steps", "changed-cell"],
+        ids=[
+            "bad-header", "header-only", "restarted-steps", "changed-cell", "copied-run",
+            "bad-channel", "bad-step", "bad-float",
+        ],
     )
     def test_bad_results_exits_2_without_summary(self, tmp_path, capsys, text, message):
         (tmp_path / "results.csv").write_text(text)

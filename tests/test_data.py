@@ -6,7 +6,6 @@ import pytest
 from noisyvqc.data import (
     Dataset,
     check_split,
-    feature_stats,
     load_iris_binary,
     preprocess,
     split,
@@ -132,29 +131,42 @@ class TestLoadFromFile:
             load_iris_binary(path)
 
 
+def _rows(features, labels=None):
+    """A Dataset of the given feature rows, labelled -1, +1, -1, ... unless given."""
+    features = np.asarray(features, dtype=float)
+    if labels is None:
+        labels = np.where(np.arange(len(features)) % 2, 1, -1)
+    return Dataset(features=features, labels=np.asarray(labels))
+
+
 class TestPreprocess:
     def test_endpoints_and_midpoint(self):
-        stats = feature_stats(np.array([[1.0, 10.0], [3.0, 30.0]]))
-        angles = preprocess(np.array([[1.0, 10.0], [3.0, 30.0], [2.0, 20.0]]), stats)
+        train_x, _, val_x, _ = preprocess(_rows([[1.0, 10.0], [3.0, 30.0]]), _rows([[2.0, 20.0]]))
+        angles = np.concatenate([train_x, val_x])
         np.testing.assert_allclose(angles[0], [0.0, 0.0])
         np.testing.assert_allclose(angles[1], [math.pi, math.pi])
         np.testing.assert_allclose(angles[2], [math.pi / 2, math.pi / 2])
 
     def test_clamps_outside_training_range(self):
-        stats = feature_stats(np.array([[1.0, 10.0], [3.0, 30.0]]))
-        angles = preprocess(np.array([[0.0, 50.0]]), stats)
+        _, _, angles, _ = preprocess(_rows([[1.0, 10.0], [3.0, 30.0]]), _rows([[0.0, 50.0]]))
         np.testing.assert_allclose(angles[0], [0.0, math.pi])
 
     def test_outputs_always_in_range(self, rng):
-        train = rng.uniform(-5, 5, size=(40, 2))
-        stats = feature_stats(train)
-        angles = preprocess(rng.uniform(-10, 10, size=(200, 2)), stats)
+        train = _rows(rng.uniform(-5, 5, size=(40, 2)))
+        _, _, angles, _ = preprocess(train, _rows(rng.uniform(-10, 10, size=(200, 2))))
         assert np.all(angles >= 0.0)
         assert np.all(angles <= math.pi)
 
     def test_degenerate_feature_rejected(self):
         with pytest.raises(ValueError, match="max > min"):
-            feature_stats(np.array([[1.0, 2.0], [1.0, 3.0]]))
+            preprocess(_rows([[1.0, 2.0], [1.0, 3.0]]), _rows([[1.0, 2.5]]))
+
+    def test_labels_pass_through(self):
+        train = _rows([[1.0, 10.0], [3.0, 30.0], [2.0, 20.0]], labels=[1, -1, 1])
+        val = _rows([[0.0, 50.0], [2.0, 20.0]], labels=[-1, -1])
+        _, train_labels, _, val_labels = preprocess(train, val)
+        np.testing.assert_array_equal(train_labels, [1, -1, 1])
+        np.testing.assert_array_equal(val_labels, [-1, -1])
 
 
 class TestSplit:

@@ -1,4 +1,4 @@
-"""The fast demos run end to end as scripts and exit cleanly."""
+"""The demos run end to end as scripts and exit cleanly."""
 
 import os
 import subprocess
@@ -10,21 +10,15 @@ import pytest
 import noisyvqc
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
-#: demo 05 trains a 14-run sweep (11 s wall, 21 s CPU on a 2-vCPU VM) and stays out
-FAST_DEMOS = [
-    "01_noise_channels.py",
-    "02_circuit_simulation.py",
-    "03_parameter_shift_gradients.py",
-    "04_training_run.py",
-]
 
 
-@pytest.mark.parametrize("name", FAST_DEMOS)
+@pytest.mark.parametrize("name", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_exits_zero(tmp_path, name):
     # the demo imports the same noisyvqc as the tests, from any working directory
     src = str(Path(noisyvqc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    # demo 05 writes its sweep under tempfile.mkdtemp(), so keep it in tmp_path
+    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
     result = subprocess.run(
         [sys.executable, str(DEMOS / name)],
         cwd=tmp_path,

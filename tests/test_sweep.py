@@ -1,4 +1,5 @@
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -324,6 +325,35 @@ class TestCsvRoundTrip:
         path = tmp_path / "results.csv"
         path.write_text(f"{CSV_HEADER}\nnone_0_1,none,0.000000,1,1,0.1,0.5,0.5\n{row}\n")
         with pytest.raises(ValueError, match="line 3: run none_0_1 changes its channel"):
+            read_results_csv(str(path))
+
+    def test_rejects_a_run_copied_under_another_id(self, tmp_path):
+        # summarize would count the copy as a second seed of the cell
+        path = str(tmp_path / "results.csv")
+        write_results_csv(path, [synthetic_record(ChannelKind.BIT_FLIP, 0.5, 1, [0.5] * 3)])
+        rows = open(path).read().splitlines(keepends=True)
+        with open(path, "a") as f:
+            f.writelines(row.replace("bit-flip_0.5_1", "copy_of_run") for row in rows[1:])
+        with pytest.raises(
+            ValueError, match="line 5: run copy_of_run repeats the channel, prob and seed of run "
+            "bit-flip_0.5_1"
+        ):
+            read_results_csv(path)
+
+    # test_cli's summarize cases cover the channel, step and cost fields
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("none_0_1,none,zero,1,2,0.1,0.5,0.5", "could not convert string to float: 'zero'"),
+            ("none_0_1,none,0.000000,1.5,2,0.1,0.5,0.5", "invalid literal for int()"),
+            ("none_0_1,none,0.000000,1,2,0.1,0.5,high", "could not convert string to float"),
+        ],
+        ids=["prob", "seed", "val_acc"],
+    )
+    def test_field_errors_name_their_line(self, tmp_path, row, message):
+        path = tmp_path / "results.csv"
+        path.write_text(f"{CSV_HEADER}\nnone_0_1,none,0.000000,1,1,0.1,0.5,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 3: {message}")):
             read_results_csv(str(path))
 
     def test_rejects_unknown_header(self, tmp_path):
