@@ -53,6 +53,15 @@ def _check_run_inputs(seeds: Sequence[int], data_path: str | None) -> None:
         raise SettingError("data_path", f"no such file: {data_path}")
 
 
+def _check_cell(channel: ChannelKind, probability, field: str) -> float:
+    """``probability`` as :func:`check_probability` returns it, which must be 0
+    for the noise-free channel, or its run would carry another cell's label."""
+    p = check_probability(probability, field)
+    if channel is ChannelKind.NONE and p != 0.0:
+        raise SettingError(field, f"must be 0 for channel none, got {p:g}")
+    return p
+
+
 def load_dataset(data_path: str | None, seeds: Sequence[int]) -> dict[int, tuple]:
     """Each seed's scaled split, parsed, split and checked once before any run.
 
@@ -162,8 +171,7 @@ def execute_run(
     """
     settings = TrainSettings(**training)
     config = AnsatzConfig(channel=channel, probability=probability, n_layers=n_layers)
-    if channel is ChannelKind.NONE and config.probability != 0.0:
-        raise SettingError("probability", f"must be 0 for channel none, got {probability:g}")
+    _check_cell(channel, config.probability, "probability")
     _check_run_inputs((seed,), data_path)
     return train(*load_dataset(data_path, (seed,))[seed], config, settings, seed=seed)
 
@@ -231,8 +239,9 @@ def read_results_csv(path: str) -> list[RunRecord]:
     A run's rows must number its steps 1, 2, ... in order and repeat the
     channel, prob and seed of its first row, which no other run id may
     share; a row that breaks a rule (two files concatenated, a run id
-    reused, a run copied under another id) or holds a field that does
-    not parse raises ``ValueError`` naming its line.
+    reused, a run copied under another id), holds a field that does not
+    parse, or holds a prob that no run can have (outside [0, 1], NaN, or
+    nonzero for channel none) raises ``ValueError`` naming its line.
     """
     records: dict[str, RunRecord] = {}
     owners: dict[tuple, str] = {}  # (channel, prob, seed) -> run id
@@ -249,7 +258,8 @@ def read_results_csv(path: str) -> list[RunRecord]:
                 raise ValueError(f"line {line_no}: expected 8 columns")
             rid, channel, prob, seed, step, *values = fields
             try:
-                config = (ChannelKind(channel), float(prob), int(seed))
+                kind = ChannelKind(channel)
+                config = (kind, _check_cell(kind, prob, "prob"), int(seed))
                 step, cost, train_acc, val_acc = int(step), *map(float, values)
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from exc

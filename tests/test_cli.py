@@ -270,10 +270,19 @@ class TestSummarizeCommand:
                 CSV_HEADER + "\nnone_0_1,none,0.000000,1,1,low,0.5,0.5\n",
                 "line 2: could not convert string to float: 'low'",
             ),
+            # NaN equals nothing, so one cell's two seeds would be two cells
+            (
+                CSV_HEADER + "\n"
+                "x,bit-flip,nan,1,1,0.1,0.5,0.5\n"
+                "y,bit-flip,nan,2,1,0.1,0.5,0.5\n"
+                "z,depolarizing,1.500000,1,1,0.1,0.5,0.5\n"
+                "w,none,0.300000,1,1,0.1,0.5,0.5\n",
+                "line 2: prob: nan outside [0, 1]",
+            ),
         ],
         ids=[
             "bad-header", "header-only", "restarted-steps", "changed-cell", "copied-run",
-            "bad-channel", "bad-step", "bad-float",
+            "bad-channel", "bad-step", "bad-float", "bad-prob",
         ],
     )
     def test_bad_results_exits_2_without_summary(self, tmp_path, capsys, text, message):

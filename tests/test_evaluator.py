@@ -18,6 +18,7 @@ from noisyvqc.evaluator import (
 )
 from noisyvqc.linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, max_abs
 from noisyvqc.simulator import ansatz_kraus_sets, rotation, run
+from noisyvqc.training import predict
 
 
 def rx(theta):
@@ -282,36 +283,59 @@ def counting(monkeypatch, names):
     return seen
 
 
+def boundary_x0(cfg):
+    """An x0 whose rows output 0 at all-zero parameters: h = w_II + w_ZI cos x0
+    there, with w_II = 0 except under amplitude damping, where it is
+    1 - (1 - g)^2L against w_ZI = (1 - g)^2L (L layers, two noise steps
+    each; needs (1 - g)^2L above 1/2)."""
+    if cfg.channel is ChannelKind.AMPLITUDE_DAMPING:
+        return np.arccos(1 - 1 / (1 - cfg.probability) ** (2 * cfg.n_layers))
+    return np.pi / 2
+
+
+COMPLEX_GATES = ["rx_matrices", "rot_matrices", "kron_batch"]
+
+
 class TestOneGateBuild:
     @pytest.mark.parametrize("n_layers", [1, 5])
     @pytest.mark.parametrize("rows", [1, 3, 6])
     def test_one_rot_and_one_kron_call(self, monkeypatch, rng, n_layers, rows):
         # a shift stack over 1, 3 or 6 tiled feature rows builds the Rot PTMs
-        # of the whole stack in one call and no complex gate, and a readout
-        # one rot_matrices and one kron_batch stack
-        names = ["rot_ptms", "rx_matrices", "rot_matrices", "kron_batch"]
+        # of the whole stack in one call and no complex gate; so does a
+        # readout as a stack of one, and a readout with a row on the class
+        # boundary under 1e-7-scale parameters adds one rot_matrices and one
+        # kron_batch stack
+        names = ["rot_ptms", *COMPLEX_GATES]
         seen = counting(monkeypatch, names)
         cfg = AnsatzConfig(channel=ChannelKind.BIT_FLIP, probability=0.2, n_layers=n_layers)
         params = shift_stack(rng.normal(size=param_shape(cfg)))
         features = np.tile(rng.uniform(0, np.pi, size=(rows, 2)), (len(params), 1))
         evaluator.ansatz_expectations(features, params, cfg)
-        gates = params.shape  # (V, L, 2, 3)
-        assert seen == {"rot_ptms": [gates], **{name: [] for name in names[1:]}}
+        gates, readout = params.shape, (1,) + param_shape(cfg)  # (V, L, 2, 3), (1, L, 2, 3)
+        assert seen == {"rot_ptms": [gates], **{name: [] for name in COMPLEX_GATES}}
         evaluator.ansatz_expectations(features, params[0], cfg)
+        assert seen == {"rot_ptms": [gates, readout], **{name: [] for name in COMPLEX_GATES}}
+        features[rows // 2, 0] = np.pi / 2
+        evaluator.ansatz_expectations(features, 1e-7 * params[0], cfg)
         assert seen == {
-            "rot_ptms": [gates],
+            "rot_ptms": [gates, readout, readout],
             "rx_matrices": [(len(features),), (len(features),)],
             "rot_matrices": [(n_layers, 2, 3)],
             "kron_batch": [(n_layers, 2, 2)],
         }
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
-    def test_bits_equal_per_layer_loop(self, rng, kind):
+    def test_bits_equal_per_layer_loop(self, monkeypatch, rng, kind):
         # a shift stack agrees with the per-tensor complex loop at 1e-12, and
-        # a readout has its bits
+        # a readout with a row on the class boundary under 1e-7-scale
+        # parameters builds the complex gates and has the loop's bits
+        seen = counting(monkeypatch, ["rx_matrices"])
         for _ in range(8):
+            high = 0.06 if kind is ChannelKind.AMPLITUDE_DAMPING else 1.0
             cfg = AnsatzConfig(
-                channel=kind, probability=float(rng.uniform()), n_layers=int(rng.integers(1, 6))
+                channel=kind,
+                probability=float(rng.uniform(0, high)),
+                n_layers=int(rng.integers(1, 6)),
             )
             rows = int(rng.choice([1, 5, 7]))
             trunk_rows = rng.uniform(0, np.pi, size=(rows, 2))
@@ -325,15 +349,48 @@ class TestOneGateBuild:
             # a readout: one shared tensor over B random rows
             batch = int(rng.choice([1, 5, 100]))
             features = rng.uniform(0, np.pi, size=(batch, 2))
-            features[::7, 0] = np.pi / 2
-            fast = ansatz_expectations(features, params[0], cfg)
-            slow = per_layer_reference(features, params[:1], cfg)
+            features[::7, 0] = boundary_x0(cfg)
+            tensor = rng.normal(scale=1e-7, size=param_shape(cfg))
+            built = len(seen["rx_matrices"])
+            fast = ansatz_expectations(features, tensor, cfg)
+            slow = per_layer_reference(features, tensor[None], cfg)
             assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+            assert len(seen["rx_matrices"]) == built + 2
+
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_readout_classes_equal_per_layer_loop(self, monkeypatch, rng, kind):
+        # a readout with no output below NEAR_ZERO builds one (1, L, 2, 3) Rot
+        # PTM stack and no complex gate, agrees with the complex loop at
+        # 1e-13 (10x under NEAR_ZERO) and predicts the same classes; under
+        # bit-flip 0.5 every output is 0, so the readout has the loop's bits
+        names = ["rot_ptms", *COMPLEX_GATES]
+        seen = counting(monkeypatch, names)
+        for p in [0.0] if kind is ChannelKind.NONE else [0.1, 0.5, 1.0]:
+            zero = kind is ChannelKind.BIT_FLIP and p == 0.5
+            for n_layers in range(1, 6):
+                cfg = AnsatzConfig(channel=kind, probability=p, n_layers=n_layers)
+                for batch in [1, 5, 100, 2000]:
+                    features = rng.uniform(0, np.pi, size=(batch, 2))
+                    tensor = rng.normal(size=param_shape(cfg))
+                    for calls in seen.values():
+                        calls.clear()
+                    fast = ansatz_expectations(features, tensor, cfg)
+                    slow = per_layer_reference(features, tensor[None], cfg)
+                    assert seen["rot_ptms"] == [(1, n_layers, 2, 3)]
+                    assert [len(seen[name]) for name in COMPLEX_GATES] == [2 * zero, zero, zero]
+                    if zero:
+                        assert np.array_equal(fast.view(np.int64), slow.view(np.int64))
+                    else:
+                        assert (np.abs(fast) >= evaluator.NEAR_ZERO).all()
+                        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-13)
+                        np.testing.assert_array_equal(predict(fast), predict(slow))
 
     def test_work_count(self, monkeypatch, rng):
         # a gradient builds the V x L Rot PTM pairs of its stack in one call
-        # and no complex gate; a readout encodes its B rows and builds L Rot gates
-        seen = counting(monkeypatch, ["rx_matrices", "rot_matrices", "kron_batch", "rot_ptms"])
+        # and no complex gate; a readout builds the L Rot PTM pairs of its
+        # tensor, and only a readout with a row on the class boundary under
+        # 1e-7-scale parameters also encodes its B rows and builds L Rot gates
+        seen = counting(monkeypatch, [*COMPLEX_GATES, "rot_ptms"])
         cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.1, n_layers=5)
         params = shift_stack(rng.normal(size=param_shape(cfg)))
         features = np.tile(rng.uniform(0, np.pi, size=(5, 2)), (len(params), 1))
@@ -342,6 +399,11 @@ class TestOneGateBuild:
         stack = [(61, 5, 2, 3)]
         assert seen == {"rx_matrices": [], "rot_matrices": [], "kron_batch": [], "rot_ptms": stack}
         evaluator.ansatz_expectations(features[:100], params[0], cfg)
+        stack.append((1, 5, 2, 3))
+        assert seen == {"rx_matrices": [], "rot_matrices": [], "kron_batch": [], "rot_ptms": stack}
+        features[0, 0] = np.pi / 2
+        evaluator.ansatz_expectations(features[:100], 1e-7 * params[0], cfg)
+        stack.append((1, 5, 2, 3))
         assert seen == {
             "rx_matrices": [(100,), (100,)],
             "rot_matrices": [(5, 2, 3)],

@@ -2,9 +2,12 @@
 
 The grid has a training sample at exactly x0 = pi/2, whose model output
 near the zero-mean init is about -2.8e-17: rounding alone decides its
-predicted class.  An evaluator that reorders the readout arithmetic,
-such as evolving Z backward through the layers once instead of the states
-forward, flips ``train_acc`` by 1/76 in some of these runs.  This test
+predicted class.  Readouts pull Z back through the layers in the Pauli
+basis instead of evolving the states forward, and on its own that
+reordered arithmetic flips ``train_acc`` by 1/76 in some of these runs.
+So a readout keeps the signs of every row at or above
+``evaluator.NEAR_ZERO`` (1e-12), which the two paths agree on, and a
+readout with a row below it returns the forward loop's bits.  This test
 runs the grid through the sweep for each of ``run.GRID_TRAINING_SEEDS``,
 and ``large_split`` variants 0 and 1 through the sweep's ``data_path``
 route, and checks each with the benchmark's own reference check

@@ -315,16 +315,16 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize(
         "row",
         [
-            "none_0_1,bit-flip,0.000000,1,2,0.1,0.5,0.5",
-            "none_0_1,none,0.300000,1,2,0.1,0.5,0.5",
-            "none_0_1,none,0.000000,7,2,0.1,0.5,0.5",
+            "bit-flip_0.5_1,depolarizing,0.500000,1,2,0.1,0.5,0.5",
+            "bit-flip_0.5_1,bit-flip,0.300000,1,2,0.1,0.5,0.5",
+            "bit-flip_0.5_1,bit-flip,0.500000,7,2,0.1,0.5,0.5",
         ],
         ids=["channel", "prob", "seed"],
     )
     def test_rejects_a_run_id_whose_cell_changes(self, tmp_path, row):
         path = tmp_path / "results.csv"
-        path.write_text(f"{CSV_HEADER}\nnone_0_1,none,0.000000,1,1,0.1,0.5,0.5\n{row}\n")
-        with pytest.raises(ValueError, match="line 3: run none_0_1 changes its channel"):
+        path.write_text(f"{CSV_HEADER}\nbit-flip_0.5_1,bit-flip,0.500000,1,1,0.1,0.5,0.5\n{row}\n")
+        with pytest.raises(ValueError, match="line 3: run bit-flip_0.5_1 changes its channel"):
             read_results_csv(str(path))
 
     def test_rejects_a_run_copied_under_another_id(self, tmp_path):
@@ -339,6 +339,22 @@ class TestCsvRoundTrip:
             "bit-flip_0.5_1"
         ):
             read_results_csv(path)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,bit-flip,nan,1,1,0.1,0.5,0.5", "prob: nan outside [0, 1]"),
+            ("x,depolarizing,1.500000,1,1,0.1,0.5,0.5", "prob: 1.500000 outside [0, 1]"),
+            ("x,none,0.300000,1,1,0.1,0.5,0.5", "prob: must be 0 for channel none, got 0.3"),
+        ],
+        ids=["nan", "above-one", "noise-free"],
+    )
+    def test_rejects_a_prob_no_run_can_have(self, tmp_path, row, message):
+        # NaN equals nothing, so summarize would split one cell's seeds
+        path = tmp_path / "results.csv"
+        path.write_text(f"{CSV_HEADER}\nnone_0_1,none,0.000000,1,1,0.1,0.5,0.5\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 3: {message}")):
+            read_results_csv(str(path))
 
     # test_cli's summarize cases cover the channel, step and cost fields
     @pytest.mark.parametrize(
