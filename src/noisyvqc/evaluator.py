@@ -1,22 +1,23 @@
 """Vectorized evaluation of the classifier ansatz over sample batches.
 
 Training needs a parameter-shift gradient (61 shifted evaluations per
-sample) and a full-split accuracy readout at every step.  One call of
-``ansatz_expectations`` evaluates either a single parameter tensor over
-B rows (a readout) or a stack of V tensors over the same k rows (a
-gradient), and both work in the Pauli basis, where every map of the
-circuit is a real matrix acting on 16 Pauli coefficients: a Rot gate's
-Pauli transfer matrix (PTM) is 1 + SO(3) in closed form
-(``rot_ptms``), and the parameter-free remainder of a layer -- noise on
-both qubits, the CNOT, noise on both qubits again -- is T S T^-1 of
-its 16x16 superoperator S on row-major vectorized states
-(``static_layer_superop``, built once per ``AnsatzConfig``).  The
-readout Z x I is pulled back through every tensor's layers in one
-batched pass, and one (V, 16) @ (16, k) product meets it with the rows'
-encoded coefficients.  These outputs agree with evolving every tensor's
-density matrices on their own to rounding (about 1e-15), not bit for
-bit, so every output of magnitude ``NEAR_ZERO`` (1e-12) or more keeps
-its sign, which is all an accuracy reads.
+sample) and a full-split accuracy readout at every step.  Both are one
+contraction h = w(theta) . r(x) in the Pauli basis, where every map of
+the circuit is a real matrix acting on 16 Pauli coefficients:
+``encode`` gives each row's coefficients r(x), and ``pullback`` gives
+each parameter tensor's w(theta), the readout Z x I pulled back through
+every layer.  A layer's parameter-free tail -- noise on both qubits,
+the CNOT, noise on both qubits again -- acts as T S T^-1 of its 16x16
+superoperator S on row-major vectorized states (``static_layer_superop``,
+built once per ``AnsatzConfig``), and a Rot gate's Pauli transfer
+matrix (PTM) is 1 + SO(3) in closed form (``rot_ptms``).  One call of
+``ansatz_expectations`` evaluates ``pullback(params, superop) @
+encode(rows).T`` for a single tensor over B rows (a readout) or a stack
+of V tensors over the same k rows (a gradient).  These outputs agree
+with evolving every tensor's density matrices on their own to rounding
+(about 1e-15), not bit for bit, so every output of magnitude
+``NEAR_ZERO`` (1e-12) or more keeps its sign, which is all an accuracy
+reads.
 
 A readout in which some row is below ``NEAR_ZERO`` has a class that
 rounding decides, and the benchmark's recorded references pin the
@@ -215,19 +216,22 @@ def pauli_transfer(superop: np.ndarray) -> np.ndarray:
     return _TO_PAULI @ superop @ _FROM_PAULI
 
 
-def _stack_expectations(
-    features: np.ndarray, params: np.ndarray, superop: np.ndarray
-) -> np.ndarray:
-    """<Z> on qubit 0 of every tensor of a (V, L, 2, 3) stack over the same k rows.
+def encode(features: np.ndarray) -> np.ndarray:
+    """Pauli coefficients r(x) = phi(x0) x phi(x1) of RX-encoded rows, (N, 2) -> (N, 16).
 
-    Works on Pauli coefficients ``Tr(sigma_a x sigma_b rho)``, held as a
-    4x4 matrix over (a, b), on which every map of the circuit is real.
-    The readout Z x I is pulled back through each tensor's layers, all
-    V at once: ``w <- w R`` through the PTM R of the layer tail
-    ``superop``, then ``A0^T w A1`` through the layer's Rot PTMs.  The k
-    rows' RX encoding of |00> has coefficients phi(x0) x phi(x1),
-    phi(x) = (1, 0, -sin x, cos x), and one product meets the two.
-    Returns shape (V * k,), tensor-major.
+    phi(x) = (1, 0, -sin x, cos x) over (I, X, Y, Z); index 4a + b.
+    """
+    x = features.T
+    phi = np.stack([np.ones_like(x), np.zeros_like(x), -np.sin(x), np.cos(x)], axis=-1)
+    return (phi[0][:, :, None] * phi[1][:, None, :]).reshape(-1, 16)
+
+
+def pullback(params: np.ndarray, superop: np.ndarray) -> np.ndarray:
+    """The readout Z x I pulled back through each tensor of a (V, L, 2, 3) stack, (V, 16).
+
+    Held as a 4x4 matrix over (a, b), all V at once, from the last layer
+    to the first: ``w <- w R`` through the real PTM R of the layer tail
+    ``superop``, then ``A0^T w A1`` through the layer's Rot PTMs.
     """
     tail = pauli_transfer(superop).real
     ptms = rot_ptms(params)  # (V, L, 2, 4, 4)
@@ -235,10 +239,7 @@ def _stack_expectations(
     for layer in reversed(range(params.shape[1])):
         w = (w.reshape(-1, 16) @ tail).reshape(-1, 4, 4)
         w = ptms[:, layer, 0].swapaxes(-1, -2) @ w @ ptms[:, layer, 1]
-    x = features.T
-    phi = np.stack([np.ones_like(x), np.zeros_like(x), -np.sin(x), np.cos(x)], axis=-1)
-    coeffs = (phi[0][:, :, None] * phi[1][:, None, :]).reshape(-1, 16)
-    return (w.reshape(-1, 16) @ coeffs.T).reshape(-1)
+    return w.reshape(-1, 16)
 
 
 def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
@@ -250,13 +251,12 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
     serves the same k = B / V feature rows, so ``features`` must be
     ``features[:k]`` tiled V times, or ``ValueError`` is raised; tensor
     v's outputs are rows ``v*k ... (v+1)*k - 1``.  Returns shape (B,).
-    A parameter-shift gradient (``training._shift_rule``) is such a
-    stack, and a readout is a single tensor.
 
-    Every call is evaluated in the Pauli basis
-    (:func:`_stack_expectations`, a readout as a stack of one), to
-    rounding of evolving each tensor's density matrices on their own:
-    about 1e-15, so any output of magnitude ``NEAR_ZERO`` or more has
+    Every call is h = w(theta) . r(x), ``pullback(params, superop) @
+    encode(features[:k]).T``: a parameter-shift gradient
+    (``training._shift_rule``) is a stack, and a readout the V = 1 case.
+    It agrees with evolving each tensor's density matrices on their own
+    to about 1e-15, so any output of magnitude ``NEAR_ZERO`` or more has
     the sign the density matrices give it.
 
     A readout with an output below ``NEAR_ZERO`` is evaluated again by
@@ -289,14 +289,12 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
             f"params shape {params.shape} is neither {shape} nor (V,) + {shape} "
             f"with V dividing B = {batch}"
         )
+    rows = batch // n_tensors
+    if not (features.reshape(n_tensors, rows, -1) == features[:rows]).all():
+        raise ValueError(f"features must be their first B / V = {rows} rows tiled V times")
     superop = static_layer_superop(config)
-    if n_tensors > 1:
-        rows = batch // n_tensors
-        if not (features.reshape(n_tensors, rows, -1) == features[:rows]).all():
-            raise ValueError(f"features must be their first B / V = {rows} rows tiled V times")
-        return _stack_expectations(features[:rows], params, superop)
-    out = _stack_expectations(features, params, superop)
-    if (np.abs(out) >= NEAR_ZERO).all():
+    out = (pullback(params, superop) @ encode(features[:rows]).T).reshape(-1)
+    if n_tensors > 1 or (np.abs(out) >= NEAR_ZERO).all():
         return out
 
     # right-multiplication form for row-vectorized states

@@ -44,11 +44,17 @@ CSV_HEADER = "run_id,channel,prob,seed,step,cost,train_acc,val_acc"
 SUMMARY_HEADER = "channel,prob,seeds,mean_final_val_acc,trainable"
 
 
+def _check_seed(seed: int, field: str) -> int:
+    """``seed``, or :class:`SettingError` under ``field`` if it is negative."""
+    if seed < 0:
+        raise SettingError(field, f"must be non-negative, got {seed}")
+    return seed
+
+
 def _check_run_inputs(seeds: Sequence[int], data_path: str | None) -> None:
     """The seed and data-file rules of :class:`SweepConfig` and :func:`execute_run`."""
     for seed in seeds:
-        if seed < 0:
-            raise SettingError("seeds", f"must be non-negative, got {seed}")
+        _check_seed(seed, "seeds")
     if data_path is not None and not os.path.isfile(data_path):
         raise SettingError("data_path", f"no such file: {data_path}")
 
@@ -233,6 +239,10 @@ def write_results_csv(path: str, records: Sequence[RunRecord]) -> None:
             )
 
 
+#: each value column's range [0, high]
+_VALUE_BOUNDS = (("cost", 4.0), ("train_acc", 1.0), ("val_acc", 1.0))
+
+
 def read_results_csv(path: str) -> list[RunRecord]:
     """Parse a results.csv (or single-run CSV) back into run records.
 
@@ -240,8 +250,10 @@ def read_results_csv(path: str) -> list[RunRecord]:
     channel, prob and seed of its first row, which no other run id may
     share; a row that breaks a rule (two files concatenated, a run id
     reused, a run copied under another id), holds a field that does not
-    parse, or holds a prob that no run can have (outside [0, 1], NaN, or
-    nonzero for channel none) raises ``ValueError`` naming its line.
+    parse, or holds a value that no run can write raises ``ValueError``
+    naming its line: a prob outside [0, 1] or NaN, a nonzero prob for
+    channel none, a negative seed, a cost outside [0, 4] (a batch mean of
+    (y - h)^2 with y = +-1 and |h| <= 1) or an accuracy outside [0, 1].
     """
     records: dict[str, RunRecord] = {}
     owners: dict[tuple, str] = {}  # (channel, prob, seed) -> run id
@@ -259,8 +271,12 @@ def read_results_csv(path: str) -> list[RunRecord]:
             rid, channel, prob, seed, step, *values = fields
             try:
                 kind = ChannelKind(channel)
-                config = (kind, _check_cell(kind, prob, "prob"), int(seed))
-                step, cost, train_acc, val_acc = int(step), *map(float, values)
+                config = (kind, _check_cell(kind, prob, "prob"), _check_seed(int(seed), "seed"))
+                step, values = int(step), [float(v) for v in values]
+                for (field, high), value in zip(_VALUE_BOUNDS, values):
+                    if not 0.0 <= value <= high:  # NaN included
+                        raise SettingError(field, f"{value} outside [0, {high:g}]")
+                cost, train_acc, val_acc = values
             except ValueError as exc:
                 raise ValueError(f"line {line_no}: {exc}") from exc
             if owners.setdefault(config, rid) != rid:

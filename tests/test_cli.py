@@ -279,10 +279,24 @@ class TestSummarizeCommand:
                 "w,none,0.300000,1,1,0.1,0.5,0.5\n",
                 "line 2: prob: nan outside [0, 1]",
             ),
+            # values no run writes: accuracies and costs out of range, a negative seed
+            (
+                CSV_HEADER + "\nbit-flip_0.5_1,bit-flip,0.500000,1,1,0.1,0.5,nan\n",
+                "line 2: val_acc: nan outside [0, 1]",
+            ),
+            (
+                CSV_HEADER + "\nbit-flip_0.5_1,bit-flip,0.500000,1,1,-3,7.5,2.5\n",
+                "line 2: cost: -3.0 outside [0, 4]",
+            ),
+            (
+                CSV_HEADER + "\nbit-flip_0.5_1,bit-flip,0.500000,-1,1,inf,0.5,0.5\n",
+                "line 2: seed: must be non-negative, got -1",
+            ),
         ],
         ids=[
             "bad-header", "header-only", "restarted-steps", "changed-cell", "copied-run",
-            "bad-channel", "bad-step", "bad-float", "bad-prob",
+            "bad-channel", "bad-step", "bad-float", "bad-prob", "nan-acc", "bad-cost",
+            "negative-seed",
         ],
     )
     def test_bad_results_exits_2_without_summary(self, tmp_path, capsys, text, message):

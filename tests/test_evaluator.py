@@ -141,6 +141,58 @@ class TestPauliTransfer:
             np.testing.assert_allclose(back, superop, rtol=0, atol=1e-15)
 
 
+def zero_theta_readout(cfg):
+    """(w_II, w_ZI) of the readout pulled back at theta = 0: each of the 2L
+    noise steps on qubit 0 scales Z by its channel's contraction, and
+    amplitude damping moves the lost weight onto I."""
+    p, steps = cfg.probability, 2 * cfg.n_layers
+    if cfg.channel is ChannelKind.BIT_FLIP:
+        return 0.0, (1 - 2 * p) ** steps
+    if cfg.channel is ChannelKind.DEPOLARIZING:
+        return 0.0, (1 - 4 * p / 3) ** steps
+    if cfg.channel is ChannelKind.AMPLITUDE_DAMPING:
+        return 1 - (1 - p) ** steps, (1 - p) ** steps
+    return 0.0, 1.0
+
+
+class TestModelHalves:
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    @pytest.mark.parametrize("n_layers", [1, 3, 5])
+    def test_pullback_at_zero_is_bias_plus_signal(self, kind, n_layers):
+        # h = w_II + w_ZI cos x0 at theta = 0; index 4a + b over (I, X, Y, Z)
+        for p in [0.0] if kind is ChannelKind.NONE else [0.0, 0.1, 0.37, 0.5, 1.0]:
+            cfg = AnsatzConfig(channel=kind, probability=p, n_layers=n_layers)
+            w = evaluator.pullback(np.zeros((1, n_layers, 2, 3)), static_layer_superop(cfg))
+            assert w.shape == (1, 16)
+            expected = np.zeros(16)
+            expected[0], expected[12] = zero_theta_readout(cfg)
+            np.testing.assert_allclose(w[0], expected, rtol=0, atol=1e-12)
+
+    def test_encode_is_a_product_of_qubit_coefficients(self):
+        # phi(x) = (1, 0, -sin x, cos x) over (I, X, Y, Z)
+        phi = {0.0: [1, 0, 0, 1], np.pi / 2: [1, 0, -1, 0], np.pi: [1, 0, 0, -1]}
+        rows = np.array([(x0, x1) for x0 in phi for x1 in phi])
+        expected = [np.kron(phi[x0], phi[x1]) for x0, x1 in rows]
+        np.testing.assert_allclose(evaluator.encode(rows), expected, rtol=0, atol=1e-15)
+
+    def test_expectations_are_pullback_times_encode(self, rng):
+        # bitwise, for a gradient's shift stack and a readout with no
+        # output below NEAR_ZERO
+        cfg = AnsatzConfig(channel=ChannelKind.PHASE_DAMPING, probability=0.3, n_layers=5)
+        superop = static_layer_superop(cfg)
+        params = shift_stack(rng.normal(size=param_shape(cfg)))
+        rows = rng.uniform(0, np.pi, size=(5, 2))
+        stacked = ansatz_expectations(np.tile(rows, (len(params), 1)), params, cfg)
+        assert len(params) == 61
+        expected = (evaluator.pullback(params, superop) @ evaluator.encode(rows).T).reshape(-1)
+        assert np.array_equal(stacked.view(np.int64), expected.view(np.int64))
+        features = rng.uniform(0, np.pi, size=(100, 2))
+        readout = ansatz_expectations(features, params[0], cfg)
+        assert (np.abs(readout) >= evaluator.NEAR_ZERO).all()
+        expected = (evaluator.pullback(params[:1], superop) @ evaluator.encode(features).T)[0]
+        assert np.array_equal(readout.view(np.int64), expected.view(np.int64))
+
+
 def branch_stack(trunk, layers, values):
     """(V, L, 2, 3) stack: ``trunk``, then one tensor per entry of ``layers``
     whose layer ``layers[j]`` is replaced by ``values[j]`` (shape (2, 3))."""

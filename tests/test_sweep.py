@@ -356,6 +356,27 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=re.escape(f"line 3: {message}")):
             read_results_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("x,bit-flip,0.500000,1,1,0.1,0.5,nan", "val_acc: nan outside [0, 1]"),
+            ("x,bit-flip,0.500000,1,1,-3,7.5,2.5", "cost: -3.0 outside [0, 4]"),
+            ("x,bit-flip,0.500000,1,1,inf,0.5,0.5", "cost: inf outside [0, 4]"),
+            ("x,bit-flip,0.500000,1,1,4.000001,0.5,0.5", "cost: 4.000001 outside [0, 4]"),
+            ("x,bit-flip,0.500000,1,1,0.1,7.5,0.5", "train_acc: 7.5 outside [0, 1]"),
+            ("x,bit-flip,0.500000,1,1,0.1,0.5,-0.01", "val_acc: -0.01 outside [0, 1]"),
+            ("x,bit-flip,0.500000,-1,1,inf,0.5,0.5", "seed: must be non-negative, got -1"),
+        ],
+        ids=["nan-acc", "negative-cost", "inf-cost", "cost-above-4", "acc-above-1",
+             "negative-acc", "negative-seed"],
+    )
+    def test_rejects_a_value_no_run_can_write(self, tmp_path, row, message):
+        # a cost is a batch mean of (y - h)^2 with y = +-1 and |h| <= 1
+        path = tmp_path / "results.csv"
+        path.write_text(f"{CSV_HEADER}\nnone_0_1,none,0.000000,1,1,4.0,0.0,1.0\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(f"line 3: {message}")):
+            read_results_csv(str(path))
+
     # test_cli's summarize cases cover the channel, step and cost fields
     @pytest.mark.parametrize(
         "row, message",
