@@ -12,7 +12,7 @@ Run with:  python demos/01_noise_channels.py
 import numpy as np
 
 from noisyvqc import ChannelKind, NOISY_KINDS, apply_kraus, build_channel, verify_completeness
-from noisyvqc.linalg import PAULI_Z, max_abs
+from noisyvqc.channels import PAULI_Z
 
 # ---------------------------------------------------------------------------
 # Kraus operators and completeness
@@ -20,7 +20,7 @@ from noisyvqc.linalg import PAULI_Z, max_abs
 print("Kraus operators at p = 0.3, and the completeness defect |sum K^dag K - I|:")
 for kind in NOISY_KINDS:
     ops = build_channel(kind, 0.3)
-    defect = max_abs(sum(k.conj().T @ k for k in ops) - np.eye(2))
+    defect = np.abs(sum(k.conj().T @ k for k in ops) - np.eye(2)).max()
     print(f"  {kind.value:<18} {len(ops)} operators, defect {defect:.1e}")
     assert verify_completeness(ops)
 
@@ -39,7 +39,7 @@ print(np.round(out, 12))
 # ---------------------------------------------------------------------------
 flipped = apply_kraus(rho, build_channel(ChannelKind.PHASE_FLIP, 1.0))
 conjugated = PAULI_Z @ rho @ PAULI_Z
-print(f"\nphase flip p=1.0 equals Z conjugation: defect {max_abs(flipped - conjugated):.1e}")
+print(f"\nphase flip p=1.0 equals Z conjugation: defect {np.abs(flipped - conjugated).max():.1e}")
 
 # ---------------------------------------------------------------------------
 # Dephasing never touches populations

@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from noisyvqc import AnsatzConfig, ChannelKind, NOISY_KINDS, ansatz_kraus_sets, run
+from noisyvqc.channels import PAULI_X
 from noisyvqc.circuit import param_shape
-from noisyvqc.linalg import PAULI_X
 from noisyvqc.simulator import on_qubit, rotation
 
 # ---------------------------------------------------------------------------

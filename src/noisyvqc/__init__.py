@@ -2,10 +2,10 @@
 
 The package is organized bottom-up:
 
-* :mod:`noisyvqc.linalg`    -- Pauli matrices and dense matrix predicates
-* :mod:`noisyvqc.channels`  -- the five Kraus noise channels, as tuples of 2x2 operators
+* :mod:`noisyvqc.channels`  -- the Pauli matrices and the five Kraus noise channels,
+  as tuples of 2x2 operators
 * :mod:`noisyvqc.circuit`   -- the ansatz configuration, parameter shape and CNOT
-* :mod:`noisyvqc.evaluator` -- the gate library: batched evaluation of the ansatz
+* :mod:`noisyvqc.evaluator` -- production's gate library: batched evaluation of the ansatz
 * :mod:`noisyvqc.simulator` -- the reference oracle: a fold over 4x4 Kraus sets
 * :mod:`noisyvqc.training`  -- parameter-shift gradients and the training loop
 * :mod:`noisyvqc.data`      -- Iris loading, scaling, and splitting

@@ -31,7 +31,11 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, max_abs
+#: the single-qubit Pauli basis (I, X, Y, Z) as complex 2x2 matrices
+I2 = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class ChannelKind(Enum):
@@ -109,12 +113,10 @@ def build_channel(kind: ChannelKind, probability: float) -> tuple[np.ndarray, ..
     return ops
 
 
-def verify_completeness(ops, tol: float = 1e-12) -> bool:
-    """True iff ``sum_i K_i^dag K_i`` over the 2x2 ``ops`` equals the identity within ``tol``."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    total = sum(dagger(k) @ k for k in ops)
-    return max_abs(total - I2) <= tol
+def verify_completeness(ops) -> bool:
+    """True iff ``sum_i K_i^dag K_i`` over the 2x2 ``ops`` equals the identity within 1e-12."""
+    total = sum(k.conj().T @ k for k in ops)
+    return bool(np.abs(total - I2).max() <= 1e-12)
 
 
 def embed_kraus(k: np.ndarray, target: int) -> np.ndarray:

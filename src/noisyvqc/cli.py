@@ -159,7 +159,7 @@ def _cmd_summarize(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         parser.error(f"no results.csv found in {args.out}")
     try:
         records = read_results_csv(results_path)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"{results_path}: {exc}")
     if not records:
         parser.error(f"{results_path} holds no runs")

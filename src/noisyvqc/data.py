@@ -54,15 +54,15 @@ def load_iris_binary(source: str | None = None) -> Dataset:
 
     The file must be the standard 5-column Iris CSV (sepal length,
     sepal width, petal length, petal width, species), optionally with a
-    header row.  Species matching is case-insensitive and the "Iris-"
-    prefix is optional.  Virginica rows are dropped; anything else
-    unrecognized is an error, as is ending up with fewer than two
-    classes.
+    header row; a UTF-8 byte-order mark is ignored.  Species matching
+    is case-insensitive and the "Iris-" prefix is optional.  Virginica
+    rows are dropped; anything else unrecognized is an error, as is
+    ending up with fewer than two classes.
     """
     if source is None:
         text = IRIS_SETOSA_VERSICOLOR_CSV
     else:
-        with open(source, "r", encoding="utf-8") as f:
+        with open(source, "r", encoding="utf-8-sig") as f:
             text = f.read()
 
     col_a, col_b = FEATURE_COLUMNS

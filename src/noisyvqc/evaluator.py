@@ -34,10 +34,12 @@ complex loop it doubled a run's CPU time, and on a process pool it
 takes a core from another worker.  ``one_blas_thread`` caps BLAS at one thread while
 training runs.
 
-This module is the package's only gate library: a single gate is a
-batch of one, e.g. ``rot_matrices(angles[None])[0]``.  Both paths agree
-with folding ``simulator.ansatz_kraus_sets`` through the reference
-oracle ``simulator.run``; the test suite pins them together at 1e-12.
+This module is production's gate library: a single gate is a batch of
+one, e.g. ``rot_matrices(angles[None])[0]``.  The reference oracle
+builds its own gates from their textbook definitions
+(``simulator.rotation``), and both paths here agree with folding
+``simulator.ansatz_kraus_sets`` through ``simulator.run``; the test
+suite pins them together at 1e-12.
 """
 
 from __future__ import annotations
@@ -48,9 +50,8 @@ import functools
 
 import numpy as np
 
-from .channels import ChannelKind, build_channel, embed_kraus
+from .channels import I2, PAULI_X, PAULI_Y, PAULI_Z, ChannelKind, build_channel, embed_kraus
 from .circuit import CNOT, AnsatzConfig, N_QUBITS, param_shape
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z
 
 _PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
 

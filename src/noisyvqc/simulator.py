@@ -19,9 +19,8 @@ import math
 
 import numpy as np
 
-from .channels import ChannelKind, build_channel, embed_kraus
+from .channels import I2, PAULI_X, PAULI_Y, PAULI_Z, ChannelKind, build_channel, embed_kraus
 from .circuit import CNOT, AnsatzConfig, N_QUBITS, param_shape
-from .linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, is_hermitian, min_eigenvalue
 
 TRACE_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
@@ -84,7 +83,7 @@ def apply_kraus(rho: np.ndarray, ops) -> np.ndarray:
     A channel from ``channels.build_channel`` acts on a 2x2 state as it
     is, and on one qubit of the register as ``on_qubit(ops, target)``.
     """
-    return sum(k @ rho @ dagger(k) for k in ops)
+    return sum(k @ rho @ k.conj().T for k in ops)
 
 
 def expectation_z0(rho: np.ndarray) -> float:
@@ -100,9 +99,9 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     tr = np.trace(rho)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):g}")
-    if not is_hermitian(rho, HERMITICITY_TOL):
+    if np.abs(rho - rho.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("state is not Hermitian within tolerance")
-    lo = min_eigenvalue(rho, HERMITICITY_TOL)
+    lo = np.linalg.eigvalsh(rho)[0]
     if lo < -PSD_TOL:
         raise ValueError(f"state has negative eigenvalue {lo:g}")
 

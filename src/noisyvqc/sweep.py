@@ -183,7 +183,8 @@ def execute_run(
 
 
 def run_sweep(config: SweepConfig, progress=None) -> list[RunRecord]:
-    """Execute every run of the sweep, in parallel up to ``workers``.
+    """Execute every run of the sweep, in parallel up to ``workers``
+    processes and never more processes than runs.
 
     The data file is parsed, split and scaled once per seed
     (:func:`load_dataset`), and each run trains on its seed's split.
@@ -197,7 +198,7 @@ def run_sweep(config: SweepConfig, progress=None) -> list[RunRecord]:
     ]
     seeds = [seed for *_, seed in specs]
     args = (*zip(*(splits[seed] for seed in seeds)), configs, repeat(config.training), seeds)
-    workers = config.workers or os.cpu_count() or 1
+    workers = min(config.workers or os.cpu_count() or 1, len(specs))
     records: list[RunRecord] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = pool.map(train, *args, chunksize=4) if pool else map(train, *args)

@@ -10,7 +10,9 @@ replacement, using the Nesterov momentum update
     params' = params - v'
 
 for 100 steps by default.  ``TrainSettings`` is the one place for the
-defaults and checks of these four settings; every entry point takes it.
+defaults and checks of these four settings.  ``train``,
+``nesterov_step`` and ``sweep.SweepConfig`` take it; ``sweep.execute_run``
+takes its fields as keywords and builds it.
 
 Gradients of the expectation are exact: every trainable gate is a
 half-angle rotation, so the parameter-shift rule

@@ -16,13 +16,15 @@ import numpy as np
 import pytest
 
 from noisyvqc.channels import (
+    I2,
     NOISY_KINDS,
+    PAULI_X,
+    PAULI_Z,
     ChannelKind,
     build_channel,
     embed_kraus,
 )
 from noisyvqc.circuit import AnsatzConfig, param_shape
-from noisyvqc.linalg import I2, PAULI_X, PAULI_Z, dagger, max_abs, min_eigenvalue
 from noisyvqc.simulator import apply_kraus, on_qubit
 from noisyvqc.sweep import (
     SweepConfig,
@@ -66,8 +68,8 @@ def test_criterion_1_channel_validity(rng):
     started = time.perf_counter()
     for kind in NOISY_KINDS:
         for p in PROB_GRID:
-            total = sum(dagger(k) @ k for k in build_channel(kind, p))
-            assert max_abs(total - I2) <= 1e-12, f"{kind.value} p={p} incomplete"
+            total = sum(k.conj().T @ k for k in build_channel(kind, p))
+            assert np.abs(total - I2).max() <= 1e-12, f"{kind.value} p={p} incomplete"
 
     configs = [(kind, p) for kind in NOISY_KINDS for p in PROB_GRID]
     for i in range(1000):
@@ -75,7 +77,8 @@ def test_criterion_1_channel_validity(rng):
         rho = random_density_matrix(rng, 4)
         out = apply_kraus(rho, on_qubit(build_channel(kind, p), i % 2))
         assert abs(np.trace(out) - 1.0) <= 1e-12, f"trace drift for {kind.value} p={p}"
-        assert min_eigenvalue(out) >= -1e-10, f"negative state for {kind.value} p={p}"
+        assert np.abs(out - out.conj().T).max() <= 1e-10, f"non-Hermitian state for {kind.value} p={p}"
+        assert np.linalg.eigvalsh(out)[0] >= -1e-10, f"negative state for {kind.value} p={p}"
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"channel validity took {elapsed:.2f}s"
     print(f"[criterion 1] PASS channel validity (55 Kraus sets, 1000 states, {elapsed:.2f}s)")
@@ -86,7 +89,7 @@ def test_criterion_2_analytic_fixed_points(rng):
     depol = build_channel(ChannelKind.DEPOLARIZING, 0.75)
     for _ in range(100):
         rho = random_density_matrix(rng, 2)
-        assert max_abs(apply_kraus(rho, depol) - I2 / 2) <= 1e-12
+        assert np.abs(apply_kraus(rho, depol) - I2 / 2).max() <= 1e-12
 
     flips = [(ChannelKind.PHASE_FLIP, PAULI_Z), (ChannelKind.BIT_FLIP, PAULI_X)]
     for kind, pauli in flips:
@@ -95,7 +98,7 @@ def test_criterion_2_analytic_fixed_points(rng):
             for _ in range(50):
                 rho = random_density_matrix(rng, 4)
                 u = embed_kraus(pauli, target)
-                assert max_abs(apply_kraus(rho, on_qubit(ops, target)) - u @ rho @ u) <= 1e-12
+                assert np.abs(apply_kraus(rho, on_qubit(ops, target)) - u @ rho @ u).max() <= 1e-12
 
     z_kinds = [ChannelKind.PHASE_FLIP, ChannelKind.PHASE_DAMPING]
     for kind in z_kinds:

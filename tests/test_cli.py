@@ -229,6 +229,20 @@ class TestSummarizeCommand:
             main(["summarize", "--out", str(tmp_path / "nothing")])
         assert exc.value.code != 0
 
+    @pytest.mark.parametrize("as_directory", [False, True], ids=["missing", "directory"])
+    def test_absent_or_unreadable_results_exits_2_without_summary(
+        self, tmp_path, capsys, as_directory
+    ):
+        if as_directory:
+            (tmp_path / "results.csv").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["summarize", "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "results.csv" in err
+        assert (f"no results.csv found in {tmp_path}" in err) != as_directory
+        assert not (tmp_path / "summary.csv").exists()
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -121,6 +121,28 @@ class TestLoadFromFile:
         ds = load_iris_binary(path)
         np.testing.assert_array_equal(ds.labels, [-1, 1])
 
+    def test_byte_order_mark_keeps_first_row(self, tmp_path):
+        path = tmp_path / "iris.csv"
+        path.write_bytes(
+            b"\xef\xbb\xbf5.1,3.5,1.4,0.2,Iris-setosa\n4.9,3.0,1.4,0.2,Iris-setosa\n"
+            b"7.0,3.2,4.7,1.4,Iris-versicolor\n6.4,3.2,4.5,1.5,Iris-versicolor\n"
+        )
+        ds = load_iris_binary(str(path))
+        np.testing.assert_array_equal(ds.features[0], [1.4, 0.2])
+        np.testing.assert_array_equal(ds.labels, [-1, -1, 1, 1])
+
+    def test_byte_order_mark_before_header_ignored(self, tmp_path):
+        text = (
+            "sepal_length,sepal_width,petal_length,petal_width,species\n"
+            "5.1,3.5,1.4,0.2,Iris-setosa\n7.0,3.2,4.7,1.4,Iris-versicolor\n"
+        )
+        plain = load_iris_binary(self._write(tmp_path, text))
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        with_bom = load_iris_binary(str(bom))
+        np.testing.assert_array_equal(with_bom.features, plain.features)
+        np.testing.assert_array_equal(with_bom.labels, plain.labels)
+
     @pytest.mark.parametrize(
         "row, count",
         [("5.1,3.5,1.4,Iris-setosa", 4), ("5.1,3.5,1.4,0.2,Iris-setosa,1", 6)],

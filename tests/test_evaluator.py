@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from noisyvqc import evaluator
-from noisyvqc.channels import ChannelKind
+from noisyvqc.channels import I2, PAULI_X, PAULI_Y, PAULI_Z, ChannelKind
 from noisyvqc.circuit import CNOT, AnsatzConfig, param_shape
 from noisyvqc.evaluator import (
     ansatz_expectations,
@@ -16,7 +16,6 @@ from noisyvqc.evaluator import (
     rx_matrices,
     static_layer_superop,
 )
-from noisyvqc.linalg import I2, PAULI_X, PAULI_Y, PAULI_Z, dagger, max_abs
 from noisyvqc.simulator import ansatz_kraus_sets, rotation, run
 from noisyvqc.training import predict
 
@@ -56,7 +55,7 @@ class TestGateMatrixStacks:
 
     def test_unitarity_random_angles(self, rng):
         def unitary(u):
-            return max_abs(dagger(u) @ u - I2) <= 1e-12
+            return np.abs(u.conj().T @ u - I2).max() <= 1e-12
 
         thetas = rng.uniform(-10, 10, size=50)
         triples = rng.uniform(-10, 10, size=(50, 3))
@@ -135,7 +134,7 @@ class TestPauliTransfer:
         for p in [0.0] if kind is ChannelKind.NONE else [0.1, 0.5, 1.0]:
             superop = static_layer_superop(AnsatzConfig(channel=kind, probability=p, n_layers=1))
             ptm = evaluator.pauli_transfer(superop)
-            assert max_abs(ptm.imag) < 1e-15
+            assert np.abs(ptm.imag).max() < 1e-15
             np.testing.assert_allclose(ptm.real[0], np.eye(16)[0], rtol=0, atol=1e-14)
             back = np.linalg.inv(evaluator._TO_PAULI) @ ptm.real @ evaluator._TO_PAULI
             np.testing.assert_allclose(back, superop, rtol=0, atol=1e-15)
@@ -193,37 +192,37 @@ class TestModelHalves:
         assert np.array_equal(readout.view(np.int64), expected.view(np.int64))
 
 
-def branch_stack(trunk, layers, values):
-    """(V, L, 2, 3) stack: ``trunk``, then one tensor per entry of ``layers``
+def variant_stack(unshifted, layers, values):
+    """(V, L, 2, 3) stack: ``unshifted``, then one variant per entry of ``layers``
     whose layer ``layers[j]`` is replaced by ``values[j]`` (shape (2, 3))."""
-    stack = np.repeat(trunk[None], len(layers) + 1, axis=0)
+    stack = np.repeat(unshifted[None], len(layers) + 1, axis=0)
     for v, (layer, value) in enumerate(zip(layers, values), start=1):
         stack[v, layer] = value
     return stack
 
 
-def shift_stack(trunk):
-    """The (2P + 1, L, 2, 3) stack of ``training._shift_rule``: the trunk, then
+def shift_stack(unshifted):
+    """The (2P + 1, L, 2, 3) stack of ``training._shift_rule``: ``unshifted``, then
     flat parameter i shifted by +pi/2 and by -pi/2, for i = 0 ... P - 1."""
-    flat = np.tile(trunk.reshape(-1), (2 * trunk.size + 1, 1))
-    idx = np.arange(trunk.size)
+    flat = np.tile(unshifted.reshape(-1), (2 * unshifted.size + 1, 1))
+    idx = np.arange(unshifted.size)
     flat[1 + 2 * idx, idx] += np.pi / 2
     flat[2 + 2 * idx, idx] -= np.pi / 2
-    return flat.reshape((-1,) + trunk.shape)
+    return flat.reshape((-1,) + unshifted.shape)
 
 
-def oracle(trunk_rows, params, cfg):
-    """Every tensor of ``params`` over every row of ``trunk_rows``, tensor-major,
+def oracle(batch_rows, params, cfg):
+    """Every tensor of ``params`` over every row of ``batch_rows``, tensor-major,
     by folding ``simulator.ansatz_kraus_sets``."""
-    return [run(ansatz_kraus_sets(x, tensor, cfg)) for tensor in params for x in trunk_rows]
+    return [run(ansatz_kraus_sets(x, tensor, cfg)) for tensor in params for x in batch_rows]
 
 
-def random_branch_stack(rng, cfg, n_branches, scale=1.0):
-    """A random trunk and ``n_branches`` one-layer branches at sorted random layers."""
-    trunk = rng.normal(scale=scale, size=param_shape(cfg))
-    layers = np.sort(rng.integers(0, cfg.n_layers, size=n_branches))
-    values = rng.normal(scale=scale, size=(n_branches, 2, 3))
-    return branch_stack(trunk, layers, values)
+def random_variant_stack(rng, cfg, n_variants, scale=1.0):
+    """A random unshifted tensor and ``n_variants`` one-layer variants at sorted random layers."""
+    unshifted = rng.normal(scale=scale, size=param_shape(cfg))
+    layers = np.sort(rng.integers(0, cfg.n_layers, size=n_variants))
+    values = rng.normal(scale=scale, size=(n_variants, 2, 3))
+    return variant_stack(unshifted, layers, values)
 
 
 class TestAgainstReferenceSimulator:
@@ -231,11 +230,11 @@ class TestAgainstReferenceSimulator:
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_matches_kraus_fold(self, rng, kind, p):
         cfg = AnsatzConfig(channel=kind, probability=p, n_layers=3)
-        # a trunk and four one-layer branches over 2 tiled feature rows
-        trunk_rows = rng.uniform(0, np.pi, size=(2, 2))
-        params = random_branch_stack(rng, cfg, 4, scale=1.5)
-        fast = ansatz_expectations(np.tile(trunk_rows, (5, 1)), params, cfg)
-        np.testing.assert_allclose(fast, oracle(trunk_rows, params, cfg), atol=1e-12)
+        # an unshifted tensor and four one-layer variants over 2 tiled feature rows
+        batch_rows = rng.uniform(0, np.pi, size=(2, 2))
+        params = random_variant_stack(rng, cfg, 4, scale=1.5)
+        fast = ansatz_expectations(np.tile(batch_rows, (5, 1)), params, cfg)
+        np.testing.assert_allclose(fast, oracle(batch_rows, params, cfg), atol=1e-12)
         # one shared tensor over random features
         features = rng.uniform(0, np.pi, size=(4, 2))
         fast = ansatz_expectations(features, params[0], cfg)
@@ -256,42 +255,62 @@ class TestAgainstReferenceSimulator:
         # tensors may differ in any number of layers, in any order, or repeat
         cfg = AnsatzConfig(channel=kind, probability=p, n_layers=n_layers)
         angles = st.floats(-10.0, 10.0)
-        trunk_rows = data.draw(arrays(float, (rows, 2), elements=angles), label="features")
+        batch_rows = data.draw(arrays(float, (rows, 2), elements=angles), label="features")
         shape = (n_tensors,) + param_shape(cfg)
         params = data.draw(arrays(float, shape, elements=angles), label="params")
-        fast = ansatz_expectations(np.tile(trunk_rows, (n_tensors, 1)), params, cfg)
-        np.testing.assert_allclose(fast, oracle(trunk_rows, params, cfg), atol=1e-12)
+        fast = ansatz_expectations(np.tile(batch_rows, (n_tensors, 1)), params, cfg)
+        np.testing.assert_allclose(fast, oracle(batch_rows, params, cfg), atol=1e-12)
 
     def test_shared_params_broadcast(self, rng):
         # each tensor of a shift stack matches its own shared-params call,
         # which has the same bits in the (L, 2, 3) form and as a stack of one
         cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.3, n_layers=2)
-        trunk_rows = rng.uniform(0, np.pi, size=(3, 2))
+        batch_rows = rng.uniform(0, np.pi, size=(3, 2))
         params = shift_stack(rng.normal(size=param_shape(cfg)))
-        stacked = ansatz_expectations(np.tile(trunk_rows, (len(params), 1)), params, cfg)
+        stacked = ansatz_expectations(np.tile(batch_rows, (len(params), 1)), params, cfg)
         for v, tensor in enumerate(params):
-            shared = ansatz_expectations(trunk_rows, tensor, cfg)
+            shared = ansatz_expectations(batch_rows, tensor, cfg)
             np.testing.assert_allclose(stacked[3 * v : 3 * v + 3], shared, rtol=0, atol=1e-12)
-            np.testing.assert_array_equal(ansatz_expectations(trunk_rows, tensor[None], cfg), shared)
+            np.testing.assert_array_equal(ansatz_expectations(batch_rows, tensor[None], cfg), shared)
 
     def test_row_independence(self, rng):
         # each tensor's rows match its own call whatever the other tensors,
-        # including branches sharing a layer and a branch equal to the
-        # trunk; each row of a shared call is unaffected by the other rows
+        # including variants sharing a layer and a variant equal to the
+        # unshifted tensor; each row of a shared call is unaffected by the
+        # other rows
         cfg = AnsatzConfig(channel=ChannelKind.PHASE_DAMPING, probability=0.6, n_layers=3)
-        trunk_rows = rng.uniform(0, np.pi, size=(2, 2))
-        trunk = rng.normal(size=param_shape(cfg))
-        params = branch_stack(trunk, [0, 1, 1, 1, 2], rng.normal(size=(5, 2, 3)))
-        params[3] = trunk
-        stacked = ansatz_expectations(np.tile(trunk_rows, (len(params), 1)), params, cfg)
+        batch_rows = rng.uniform(0, np.pi, size=(2, 2))
+        unshifted = rng.normal(size=param_shape(cfg))
+        params = variant_stack(unshifted, [0, 1, 1, 1, 2], rng.normal(size=(5, 2, 3)))
+        params[3] = unshifted
+        stacked = ansatz_expectations(np.tile(batch_rows, (len(params), 1)), params, cfg)
         for v, tensor in enumerate(params):
-            shared = ansatz_expectations(trunk_rows, tensor, cfg)
+            shared = ansatz_expectations(batch_rows, tensor, cfg)
             np.testing.assert_allclose(stacked[2 * v : 2 * v + 2], shared, rtol=0, atol=1e-12)
         features = rng.uniform(0, np.pi, size=(6, 2))
-        batch = ansatz_expectations(features, trunk, cfg)
+        batch = ansatz_expectations(features, unshifted, cfg)
         for i in range(6):
-            single = ansatz_expectations(features[i : i + 1], trunk, cfg)
+            single = ansatz_expectations(features[i : i + 1], unshifted, cfg)
             assert single[0] == pytest.approx(batch[i], abs=1e-14)
+
+    # a stack need not be a shift stack: these two are evaluated, not rejected
+
+    def test_variant_differing_in_two_layers(self, rng):
+        cfg = AnsatzConfig(channel=ChannelKind.AMPLITUDE_DAMPING, probability=0.3, n_layers=3)
+        params = random_variant_stack(rng, cfg, 2)
+        params[2, 0] += 1.0
+        params[2, 2] += 1.0
+        batch_rows = rng.uniform(0, np.pi, size=(2, 2))
+        fast = ansatz_expectations(np.tile(batch_rows, (3, 1)), params, cfg)
+        np.testing.assert_allclose(fast, oracle(batch_rows, params, cfg), rtol=0, atol=1e-12)
+
+    def test_variants_out_of_layer_order(self, rng):
+        cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.4, n_layers=3)
+        unshifted = rng.normal(size=param_shape(cfg))
+        params = variant_stack(unshifted, [0, 2, 1], rng.normal(size=(3, 2, 3)))
+        batch_rows = rng.uniform(0, np.pi, size=(2, 2))
+        fast = ansatz_expectations(np.tile(batch_rows, (4, 1)), params, cfg)
+        np.testing.assert_allclose(fast, oracle(batch_rows, params, cfg), rtol=0, atol=1e-12)
 
 
 def per_layer_reference(features, params, cfg):
@@ -390,11 +409,11 @@ class TestOneGateBuild:
                 n_layers=int(rng.integers(1, 6)),
             )
             rows = int(rng.choice([1, 5, 7]))
-            trunk_rows = rng.uniform(0, np.pi, size=(rows, 2))
-            trunk_rows[::3, 0] = np.pi / 2
+            batch_rows = rng.uniform(0, np.pi, size=(rows, 2))
+            batch_rows[::3, 0] = np.pi / 2
             scale = rng.choice([1e-7, 1.0])
             params = shift_stack(rng.normal(scale=scale, size=param_shape(cfg)))
-            features = np.tile(trunk_rows, (len(params), 1))
+            features = np.tile(batch_rows, (len(params), 1))
             fast = ansatz_expectations(features, params, cfg)
             slow = per_layer_reference(features, params, cfg)
             np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
@@ -477,28 +496,9 @@ class TestValidation:
             with pytest.raises(ValueError, match="params shape"):
                 ansatz_expectations(np.zeros((4, 2)), np.zeros(shape), cfg)
 
-    # a stack need not be a shift stack: these two are evaluated, not rejected
-
-    def test_branch_differing_in_two_layers(self, rng):
-        cfg = AnsatzConfig(channel=ChannelKind.AMPLITUDE_DAMPING, probability=0.3, n_layers=3)
-        params = random_branch_stack(rng, cfg, 2)
-        params[2, 0] += 1.0
-        params[2, 2] += 1.0
-        trunk_rows = rng.uniform(0, np.pi, size=(2, 2))
-        fast = ansatz_expectations(np.tile(trunk_rows, (3, 1)), params, cfg)
-        np.testing.assert_allclose(fast, oracle(trunk_rows, params, cfg), rtol=0, atol=1e-12)
-
-    def test_branches_out_of_layer_order(self, rng):
-        cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.4, n_layers=3)
-        trunk = rng.normal(size=param_shape(cfg))
-        params = branch_stack(trunk, [0, 2, 1], rng.normal(size=(3, 2, 3)))
-        trunk_rows = rng.uniform(0, np.pi, size=(2, 2))
-        fast = ansatz_expectations(np.tile(trunk_rows, (4, 1)), params, cfg)
-        np.testing.assert_allclose(fast, oracle(trunk_rows, params, cfg), rtol=0, atol=1e-12)
-
     def test_untiled_features(self, rng):
         cfg = AnsatzConfig(n_layers=2)
-        params = random_branch_stack(rng, cfg, 1)
+        params = random_variant_stack(rng, cfg, 1)
         features = np.tile(rng.uniform(0, np.pi, size=(2, 2)), (2, 1))
         features[3, 1] += 0.1
         with pytest.raises(ValueError, match="tiled"):

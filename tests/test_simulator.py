@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from noisyvqc.channels import NOISY_KINDS, ChannelKind, build_channel
+from noisyvqc.channels import I2, NOISY_KINDS, PAULI_X, PAULI_Z, ChannelKind, build_channel
 from noisyvqc.circuit import CNOT, AnsatzConfig, param_shape
 from noisyvqc.evaluator import rot_matrices, rx_matrices
-from noisyvqc.linalg import I2, PAULI_X, PAULI_Z, dagger, max_abs
 from noisyvqc.simulator import (
     ansatz_kraus_sets,
     apply_kraus,
@@ -88,6 +87,13 @@ class TestValidateDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             validate_density_matrix(2.0 * init_state())
 
+    def test_rejects_non_hermitian(self):
+        # trace 1 and PSD diagonal, but rho[0, 1] has no conjugate partner
+        rho = init_state()
+        rho[0, 1] = 1e-9
+        with pytest.raises(ValueError, match="Hermitian"):
+            validate_density_matrix(rho)
+
     def test_rejects_negative_eigenvalue(self):
         rho = np.diag([1.2, -0.2, 0, 0]).astype(complex)
         with pytest.raises(ValueError, match="negative"):
@@ -156,7 +162,7 @@ class TestAnsatzKrausSets:
         params = rng.normal(size=param_shape(cfg))
         for ops in ansatz_kraus_sets(rng.uniform(0, np.pi, 2), params, cfg):
             (u,) = ops
-            assert max_abs(dagger(u) @ u - np.eye(4)) <= 1e-12
+            assert np.abs(u.conj().T @ u - np.eye(4)).max() <= 1e-12
 
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValueError, match="finite"):

@@ -162,6 +162,33 @@ class TestRunSweep:
         for x, y in zip(serial, parallel):
             assert x == y
 
+    def test_never_asks_for_more_workers_than_runs(self, tmp_path, monkeypatch):
+        # a fork-based pool starts all max_workers processes at its first
+        # submit, so the fake records the request and maps in this process
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        config = tiny_config(tmp_path / "a", workers=10**6, seeds=(1,))
+        records = run_sweep(config)
+        assert len(records) == 2
+        assert requested and max(requested) <= len(records)
+        one_run = SweepConfig(channels=(), seeds=(1,), workers=10**6, training=TrainSettings(steps=2))
+        assert len(run_sweep(one_run)) == 1
+        assert len(requested) == 1  # a one-run sweep takes the serial path
+
     def test_serial_sweep_parses_the_data_once(self, monkeypatch):
         calls = []
 

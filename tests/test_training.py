@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from noisyvqc import evaluator, training
-from noisyvqc.channels import ChannelKind
+from noisyvqc.channels import PAULI_X, ChannelKind
 from noisyvqc.circuit import AnsatzConfig, param_shape
 from noisyvqc.evaluator import ansatz_expectations, blas_thread_calls, one_blas_thread
-from noisyvqc.linalg import PAULI_X
 from noisyvqc.simulator import on_qubit, rotation, run
 from noisyvqc.training import (
     RunRecord,
