@@ -22,11 +22,13 @@ are kept rather than pruned; the uniform structure costs nothing at
 dimension 2.
 
 ``SettingError``, the package's error for a rejected setting, lives here,
-in the lowest module that checks one: ``check_probability``.
+in the lowest module that checks one: ``check_probability``, beside
+``check_count``, the rule for step, batch, layer, worker and seed counts.
 """
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
 
 import numpy as np
@@ -80,6 +82,20 @@ def check_probability(probability: float, field: str = "probability") -> float:
     if not 0.0 <= p <= 1.0:
         raise SettingError(field, f"{probability} outside [0, 1]")
     return abs(p)
+
+
+def check_count(value, field: str, least: int) -> int:
+    """``value`` as an int, or :class:`SettingError` under ``field`` if it is
+    not an integer (``operator.index`` rejects it) or is below ``least``;
+    the one copy of this rule."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise SettingError(field, f"must be an integer, got {value!r}") from None
+    if count < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise SettingError(field, f"must be {bound}, got {count}")
+    return count
 
 
 def build_channel(kind: ChannelKind, probability: float) -> tuple[np.ndarray, ...]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelKind, SettingError, check_probability
+from .channels import ChannelKind, check_count, check_probability
 
 N_QUBITS = 2
 #: trainable angles per qubit per layer (the three Rot Euler angles)
@@ -40,9 +40,9 @@ CNOT.flags.writeable = False
 class AnsatzConfig:
     """Shape and noise configuration of the classifier ansatz.
 
-    The one place that checks the layer count; a rejected value raises
-    :class:`SettingError`.  ``probability`` is stored as
-    :func:`check_probability` returns it, so -0.0 reads as 0.0.
+    The one place that checks the layer count (:func:`check_count`); a
+    rejected value raises :class:`SettingError`.  ``probability`` is
+    stored as :func:`check_probability` returns it, so -0.0 reads as 0.0.
     """
 
     channel: ChannelKind = ChannelKind.NONE
@@ -51,8 +51,7 @@ class AnsatzConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "probability", check_probability(self.probability))
-        if self.n_layers < 1:
-            raise SettingError("n_layers", f"must be at least 1, got {self.n_layers}")
+        check_count(self.n_layers, "n_layers", 1)
 
 
 def param_shape(config: AnsatzConfig) -> tuple[int, int, int]:

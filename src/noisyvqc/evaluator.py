@@ -7,17 +7,17 @@ the circuit is a real matrix acting on 16 Pauli coefficients:
 ``encode`` gives each row's coefficients r(x), and ``pullback`` gives
 each parameter tensor's w(theta), the readout Z x I pulled back through
 every layer.  A layer's parameter-free tail -- noise on both qubits,
-the CNOT, noise on both qubits again -- acts as T S T^-1 of its 16x16
-superoperator S on row-major vectorized states (``static_layer_superop``,
-built once per ``AnsatzConfig``), and a Rot gate's Pauli transfer
-matrix (PTM) is 1 + SO(3) in closed form (``rot_ptms``).  One call of
-``ansatz_expectations`` evaluates ``pullback(params, superop) @
-encode(rows).T`` for a single tensor over B rows (a readout) or a stack
-of V tensors over the same k rows (a gradient).  These outputs agree
-with evolving every tensor's density matrices on their own to rounding
-(about 1e-15), not bit for bit, so every output of magnitude
-``NEAR_ZERO`` (1e-12) or more keeps its sign, which is all an accuracy
-reads.
+the CNOT, noise on both qubits again -- is the real 16x16 matrix
+T S T^-1 of its superoperator S on row-major vectorized states, built
+once per ``AnsatzConfig`` (``static_layer_superop``), and a Rot gate's
+Pauli transfer matrix (PTM) is 1 + SO(3) in closed form (``rot_ptms``).
+One call of ``ansatz_expectations`` evaluates ``pullback(params,
+static_layer_superop(config)) @ encode(rows).T`` for a single tensor
+over B rows (a readout) or a stack of V tensors over the same k rows
+(a gradient).  These outputs agree with evolving every tensor's density
+matrices on their own to rounding (about 1e-15), not bit for bit, so
+every output of magnitude ``NEAR_ZERO`` (1e-12) or more keeps its sign,
+which is all an accuracy reads.
 
 A readout in which some row is below ``NEAR_ZERO`` has a class that
 rounding decides, and the benchmark's recorded references pin the
@@ -190,12 +190,10 @@ def kraus_superop(ops: list[np.ndarray]) -> np.ndarray:
 
 
 @functools.lru_cache
-def static_layer_superop(config: AnsatzConfig) -> np.ndarray:
-    """Superoperator of one layer's parameter-free tail, built once per config.
+def _row_major_tail(config: AnsatzConfig) -> np.ndarray:
+    """Superoperator S of one layer's tail on row-major vec(rho), cached read-only.
 
-    Instruction order: noise on qubit 0, noise on qubit 1, CNOT, noise
-    on qubit 0, noise on qubit 1.  Noise-free configs reduce to the
-    CNOT conjugation alone.  The cached array is read-only.
+    Noise on qubit 0, then qubit 1, the CNOT, noise on qubit 0, then qubit 1.
     """
     out = kraus_superop([CNOT])
     if config.channel is not ChannelKind.NONE:
@@ -207,14 +205,15 @@ def static_layer_superop(config: AnsatzConfig) -> np.ndarray:
     return out
 
 
-def pauli_transfer(superop: np.ndarray) -> np.ndarray:
-    """Pauli transfer matrix T S T^-1 of a 16x16 row-major superoperator S.
+@functools.lru_cache
+def static_layer_superop(config: AnsatzConfig) -> np.ndarray:
+    """The layer tail as the real PTM T S T^-1 of ``_row_major_tail``, cached read-only.
 
-    Over the coefficients Tr(sigma_a x sigma_b rho), index 4a + b, the
-    map is real for any Hermiticity-preserving S; the complex product is
-    returned, and its imaginary part is rounding.
+    Real for any Hermiticity-preserving S; the product's imaginary part is rounding.
     """
-    return _TO_PAULI @ superop @ _FROM_PAULI
+    out = (_TO_PAULI @ _row_major_tail(config) @ _FROM_PAULI).real
+    out.flags.writeable = False
+    return out
 
 
 def encode(features: np.ndarray) -> np.ndarray:
@@ -227,14 +226,13 @@ def encode(features: np.ndarray) -> np.ndarray:
     return (phi[0][:, :, None] * phi[1][:, None, :]).reshape(-1, 16)
 
 
-def pullback(params: np.ndarray, superop: np.ndarray) -> np.ndarray:
+def pullback(params: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """The readout Z x I pulled back through each tensor of a (V, L, 2, 3) stack, (V, 16).
 
     Held as a 4x4 matrix over (a, b), all V at once, from the last layer
-    to the first: ``w <- w R`` through the real PTM R of the layer tail
-    ``superop``, then ``A0^T w A1`` through the layer's Rot PTMs.
+    to the first: ``w <- w R`` through the layer tail's real PTM R =
+    ``tail``, then ``A0^T w A1`` through the layer's Rot PTMs.
     """
-    tail = pauli_transfer(superop).real
     ptms = rot_ptms(params)  # (V, L, 2, 4, 4)
     w = _Z_QUBIT0
     for layer in reversed(range(params.shape[1])):
@@ -253,8 +251,8 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
     ``features[:k]`` tiled V times, or ``ValueError`` is raised; tensor
     v's outputs are rows ``v*k ... (v+1)*k - 1``.  Returns shape (B,).
 
-    Every call is h = w(theta) . r(x), ``pullback(params, superop) @
-    encode(features[:k]).T``: a parameter-shift gradient
+    Every call is h = ``pullback(params, static_layer_superop(config))
+    @ encode(features[:k]).T``, all real: a parameter-shift gradient
     (``training._shift_rule``) is a stack, and a readout the V = 1 case.
     It agrees with evolving each tensor's density matrices on their own
     to about 1e-15, so any output of magnitude ``NEAR_ZERO`` or more has
@@ -293,13 +291,11 @@ def ansatz_expectations(features, params, config: AnsatzConfig) -> np.ndarray:
     rows = batch // n_tensors
     if not (features.reshape(n_tensors, rows, -1) == features[:rows]).all():
         raise ValueError(f"features must be their first B / V = {rows} rows tiled V times")
-    superop = static_layer_superop(config)
-    out = (pullback(params, superop) @ encode(features[:rows]).T).reshape(-1)
+    out = (pullback(params, static_layer_superop(config)) @ encode(features[:rows]).T).reshape(-1)
     if n_tensors > 1 or (np.abs(out) >= NEAR_ZERO).all():
         return out
 
-    # right-multiplication form for row-vectorized states
-    tail_t = superop.T
+    tail_t = _row_major_tail(config).T  # S acting on row-vectorized states from the right
 
     # the encoding unitary hits |00><00|, so rho is the outer product of
     # its first column with itself, the product of the RX columns

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import NOISY_KINDS, ChannelKind, SettingError, check_probability
+from .channels import NOISY_KINDS, ChannelKind, SettingError, check_count, check_probability
 from .circuit import DEFAULT_LAYERS, AnsatzConfig
 from .data import check_split, load_iris_binary, preprocess, split
 from .svg import emit_svg
@@ -44,17 +44,10 @@ CSV_HEADER = "run_id,channel,prob,seed,step,cost,train_acc,val_acc"
 SUMMARY_HEADER = "channel,prob,seeds,mean_final_val_acc,trainable"
 
 
-def _check_seed(seed: int, field: str) -> int:
-    """``seed``, or :class:`SettingError` under ``field`` if it is negative."""
-    if seed < 0:
-        raise SettingError(field, f"must be non-negative, got {seed}")
-    return seed
-
-
 def _check_run_inputs(seeds: Sequence[int], data_path: str | None) -> None:
     """The seed and data-file rules of :class:`SweepConfig` and :func:`execute_run`."""
     for seed in seeds:
-        _check_seed(seed, "seeds")
+        check_count(seed, "seeds", 0)
     if data_path is not None and not os.path.isfile(data_path):
         raise SettingError("data_path", f"no such file: {data_path}")
 
@@ -74,16 +67,17 @@ def load_dataset(data_path: str | None, seeds: Sequence[int]) -> dict[int, tuple
     Returns ``{seed: (train_features, train_labels, val_features,
     val_labels)}``, the first four arguments of :func:`training.train`:
     the seed's :func:`data.split` scaled by :func:`data.preprocess`.  A
-    file that does not parse, holds fewer than two classes, or whose split
-    would leave a side empty (:func:`data.check_split`, the same for every
-    seed) raises :class:`SettingError` under ``data_path``, as does a
-    feature that is constant on the training split of one of ``seeds``
+    file that cannot be read (``OSError``) or does not parse, holds fewer
+    than two classes, or whose split would leave a side empty
+    (:func:`data.check_split`, the same for every seed) raises
+    :class:`SettingError` under ``data_path``, as does a feature that is
+    constant on the training split of one of ``seeds``
     (:func:`data.preprocess` could not scale it).
     """
     try:
         dataset = load_iris_binary(data_path)
         check_split(dataset)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise SettingError("data_path", str(exc)) from exc
     splits = {}
     for seed in seeds:
@@ -114,8 +108,8 @@ class SweepConfig:
         probabilities = tuple(check_probability(p, "probabilities") for p in self.probabilities)
         object.__setattr__(self, "probabilities", probabilities)
         AnsatzConfig(n_layers=self.n_layers)  # checks the layer count
-        if self.workers is not None and self.workers < 1:
-            raise SettingError("workers", f"must be at least 1, got {self.workers}")
+        if self.workers is not None:
+            check_count(self.workers, "workers", 1)
         # a run id names a run's CSV and its results.csv rows: two runs under
         # one id would overwrite each other's CSV yet count twice in the summary
         ids = [run_id(*spec) for spec in self.run_specs()]
@@ -184,7 +178,8 @@ def execute_run(
 
 def run_sweep(config: SweepConfig, progress=None) -> list[RunRecord]:
     """Execute every run of the sweep, in parallel up to ``workers``
-    processes and never more processes than runs.
+    processes (default: the CPUs this process may use) and never more
+    processes than runs.
 
     The data file is parsed, split and scaled once per seed
     (:func:`load_dataset`), and each run trains on its seed's split.
@@ -198,7 +193,9 @@ def run_sweep(config: SweepConfig, progress=None) -> list[RunRecord]:
     ]
     seeds = [seed for *_, seed in specs]
     args = (*zip(*(splits[seed] for seed in seeds)), configs, repeat(config.training), seeds)
-    workers = min(config.workers or os.cpu_count() or 1, len(specs))
+    # by default, the CPUs this process may use, which a cpuset or taskset narrows
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.workers or cpus or 1, len(specs))
     records: list[RunRecord] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         results = pool.map(train, *args, chunksize=4) if pool else map(train, *args)
@@ -272,7 +269,7 @@ def read_results_csv(path: str) -> list[RunRecord]:
             rid, channel, prob, seed, step, *values = fields
             try:
                 kind = ChannelKind(channel)
-                config = (kind, _check_cell(kind, prob, "prob"), _check_seed(int(seed), "seed"))
+                config = (kind, _check_cell(kind, prob, "prob"), check_count(int(seed), "seed", 0))
                 step, values = int(step), [float(v) for v in values]
                 for (field, high), value in zip(_VALUE_BOUNDS, values):
                     if not 0.0 <= value <= high:  # NaN included

@@ -37,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channels import ChannelKind, SettingError
+from .channels import ChannelKind, SettingError, check_count
 from .circuit import AnsatzConfig, param_shape
 from .evaluator import ansatz_expectations, one_blas_thread
 
@@ -129,8 +129,7 @@ class TrainSettings:
 
     def __post_init__(self) -> None:
         for name in ("steps", "batch_size"):
-            if getattr(self, name) < 1:
-                raise SettingError(name, f"must be at least 1, got {getattr(self, name)}")
+            check_count(getattr(self, name), name, 1)
         if not 0 < self.learning_rate < math.inf:
             raise SettingError(
                 "learning_rate", f"must be positive and finite, got {self.learning_rate}"
@@ -201,6 +200,8 @@ def train(
     val_labels = np.asarray(val_labels)
     if len(train_labels) == 0:
         raise ValueError("training split is empty")
+    if len(val_labels) == 0:
+        raise ValueError("validation split is empty")
 
     rng = np.random.default_rng(seed)
     params = rng.normal(0.0, INIT_STD, size=param_shape(config))

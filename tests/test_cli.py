@@ -171,6 +171,24 @@ class TestBadDataFile:
         assert f"usage: noisyvqc {command[0]}" in err
         assert "error: argument --data:" in err and message in err
 
+    @pytest.mark.parametrize("command", [["run", "--channel", "none"], ["sweep", "--workers", "1"]])
+    def test_unreadable_file_exits_2_without_output(self, tmp_path, capsys, monkeypatch, command):
+        # the superuser reads a file whatever its mode, so the read itself fails
+        def unreadable(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", path)
+
+        data = tmp_path / "iris.csv"
+        data.write_text("5.1,3.5,1.4,0.2,Iris-setosa\n")
+        monkeypatch.setattr("noisyvqc.data.open", unreadable, raising=False)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--steps", "2", "--data", str(data), "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"usage: noisyvqc {command[0]}" in err
+        assert "error: argument --data:" in err and "Permission denied" in err
+
 
 class TestSweepCommand:
     def test_filtered_sweep_file_set(self, tmp_path, capsys):

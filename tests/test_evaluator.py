@@ -88,15 +88,17 @@ class TestGateMatrixStacks:
 class TestSuperops:
     def test_noise_free_layer_is_cnot_conjugation(self):
         cfg = AnsatzConfig(n_layers=1)
-        np.testing.assert_array_equal(static_layer_superop(cfg), kraus_superop([CNOT]))
+        np.testing.assert_array_equal(evaluator._row_major_tail(cfg), kraus_superop([CNOT]))
 
     def test_cached_superop_is_read_only_and_equal_to_a_fresh_build(self):
+        # both the row-major superoperator and the Pauli tail built from it
         cfg = AnsatzConfig(channel=ChannelKind.AMPLITUDE_DAMPING, probability=0.4, n_layers=2)
-        cached = static_layer_superop(cfg)
-        assert static_layer_superop(AnsatzConfig(ChannelKind.AMPLITUDE_DAMPING, 0.4, 2)) is cached
-        with pytest.raises(ValueError, match="read-only"):
-            cached[0, 0] = 1.0
-        np.testing.assert_array_equal(cached, static_layer_superop.__wrapped__(cfg))
+        for build in (evaluator._row_major_tail, static_layer_superop):
+            cached = build(cfg)
+            assert build(AnsatzConfig(ChannelKind.AMPLITUDE_DAMPING, 0.4, 2)) is cached
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0, 0] = 1.0
+            np.testing.assert_array_equal(cached, build.__wrapped__(cfg))
 
     def test_unitary_superop_action(self, rng):
         u = CNOT
@@ -129,14 +131,19 @@ class TestPauliTransfer:
 
     @pytest.mark.parametrize("kind", list(ChannelKind))
     def test_tail_ptm_is_real_and_trace_preserving(self, kind):
-        # the imaginary part is rounding, the first row is e_0, and
-        # T^-1 R T gives back the superoperator
+        # the dropped imaginary part is rounding, the tail and the pullback
+        # through it are real, the tail's first row is e_0, and T^-1 R T
+        # gives back the row-major superoperator
         for p in [0.0] if kind is ChannelKind.NONE else [0.1, 0.5, 1.0]:
-            superop = static_layer_superop(AnsatzConfig(channel=kind, probability=p, n_layers=1))
-            ptm = evaluator.pauli_transfer(superop)
-            assert np.abs(ptm.imag).max() < 1e-15
-            np.testing.assert_allclose(ptm.real[0], np.eye(16)[0], rtol=0, atol=1e-14)
-            back = np.linalg.inv(evaluator._TO_PAULI) @ ptm.real @ evaluator._TO_PAULI
+            cfg = AnsatzConfig(channel=kind, probability=p, n_layers=1)
+            superop = evaluator._row_major_tail(cfg)
+            full = evaluator._TO_PAULI @ superop @ evaluator._FROM_PAULI
+            assert np.abs(full.imag).max() < 1e-15
+            ptm = static_layer_superop(cfg)
+            w = evaluator.pullback(np.ones((2, 1, 2, 3)), ptm)
+            assert ptm.shape == (16, 16) and ptm.dtype == w.dtype == np.float64
+            np.testing.assert_allclose(ptm[0], np.eye(16)[0], rtol=0, atol=1e-14)
+            back = np.linalg.inv(evaluator._TO_PAULI) @ ptm @ evaluator._TO_PAULI
             np.testing.assert_allclose(back, superop, rtol=0, atol=1e-15)
 
 
@@ -320,7 +327,7 @@ def per_layer_reference(features, params, cfg):
     tensor's density matrices on their own."""
     batch, n_tensors = len(features), len(params)
     rows = batch // n_tensors
-    tail_t = static_layer_superop(cfg).T
+    tail_t = evaluator._row_major_tail(cfg).T
     enc = kron_batch(rx_matrices(features[:, 0]), rx_matrices(features[:, 1]))
     col = enc[:, :, 0]
     rho = col[:, :, None] * col.conj()[:, None, :]

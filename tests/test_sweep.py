@@ -68,7 +68,14 @@ class TestExecuteRun:
         assert a == b
 
     @pytest.mark.parametrize(
-        "field,value", [("batch_size", 0), ("steps", 0), ("learning_rate", float("nan"))]
+        "field,value",
+        [
+            ("batch_size", 0),
+            ("steps", 0),
+            ("learning_rate", float("nan")),
+            ("steps", 2.5),
+            ("batch_size", 2.5),
+        ],
     )
     def test_rejects_bad_training_setting_before_reading_data(self, tmp_path, field, value):
         missing = str(tmp_path / "missing.csv")
@@ -77,7 +84,8 @@ class TestExecuteRun:
         assert exc.value.field == field
 
     @pytest.mark.parametrize(
-        "probability,n_layers,field", [(1.5, 5, "probability"), (0.5, 0, "n_layers")]
+        "probability,n_layers,field",
+        [(1.5, 5, "probability"), (0.5, 0, "n_layers"), (0.5, 2.5, "n_layers")],
     )
     def test_rejects_bad_ansatz_setting_before_reading_data(
         self, tmp_path, probability, n_layers, field
@@ -89,7 +97,8 @@ class TestExecuteRun:
         assert exc.value.field == field
 
     @pytest.mark.parametrize(
-        "seed,data,field", [(-1, None, "seeds"), (1, "missing.csv", "data_path")]
+        "seed,data,field",
+        [(-1, None, "seeds"), (1.5, None, "seeds"), (1, "missing.csv", "data_path")],
     )
     def test_rejects_bad_seed_or_data_path_before_reading_data(
         self, tmp_path, monkeypatch, seed, data, field
@@ -188,6 +197,11 @@ class TestRunSweep:
         one_run = SweepConfig(channels=(), seeds=(1,), workers=10**6, training=TrainSettings(steps=2))
         assert len(run_sweep(one_run)) == 1
         assert len(requested) == 1  # a one-run sweep takes the serial path
+        # the default counts the CPUs this process may use, not the host's
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert len(run_sweep(tiny_config(tmp_path / "b", workers=None, seeds=(1,)))) == 2
+        assert len(requested) == 1  # one usable CPU takes the serial path
 
     def test_serial_sweep_parses_the_data_once(self, monkeypatch):
         calls = []
@@ -239,6 +253,10 @@ class TestRunSweep:
             ("momentum", -0.1),
             ("momentum", 1.0),
             ("workers", 0),
+            ("steps", 2.5),
+            ("batch_size", 2.5),
+            ("n_layers", 2.5),
+            ("workers", 1.5),
         ],
     )
     def test_rejects_bad_training_setting(self, field, value):

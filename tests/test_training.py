@@ -249,9 +249,12 @@ class TestTrain:
             assert 0.0 <= min(column) and max(column) <= 1.0
 
     def test_empty_train_split_rejected(self):
-        with pytest.raises(ValueError):
-            train(np.zeros((0, 2)), np.zeros(0), np.zeros((1, 2)), np.array([1]),
-                  AnsatzConfig(n_layers=1), TrainSettings(steps=1))
+        # either side: an empty validation split would record NaN accuracies
+        one_x, one_y, no_x, no_y = np.zeros((1, 2)), np.array([1]), np.zeros((0, 2)), np.zeros(0)
+        for splits, side in [((no_x, no_y, one_x, one_y), "training"),
+                             ((one_x, one_y, no_x, no_y), "validation")]:
+            with pytest.raises(ValueError, match=f"{side} split is empty"):
+                train(*splits, AnsatzConfig(n_layers=1), TrainSettings(steps=1))
 
     def test_config_echoed(self, rng):
         tx, ty, vx, vy = self._tiny_splits(rng)
