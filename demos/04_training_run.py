@@ -32,7 +32,7 @@ digest(struggling)
 
 path = "curves_phase-damping_0.2.svg"
 with open(path, "w", encoding="utf-8") as f:
-    f.write(emit_svg(noisy))
+    f.write(emit_svg([noisy]))
 print(f"\nwrote {path}")
 print(
     "\nThe accuracy jump happens when the optimizer escapes the flat region\n"

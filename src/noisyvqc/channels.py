@@ -13,9 +13,9 @@ play the identical role of channel strength and share one field here):
 
 A sixth kind, ``NONE``, is the identity channel used for noise-free
 baselines.  A channel acts on a state as ``rho -> sum_i K_i rho K_i^dag``
-(``simulator.apply_kraus``; on one qubit of the register, through
-``simulator.on_qubit``), and every constructed channel satisfies the
-completeness relation ``sum_i K_i^dag K_i == I``.
+(``simulator.apply_kraus``); ``on_qubit(ops, target)`` is the one lift of
+a channel onto a qubit of the register.  Every constructed channel
+satisfies the completeness relation ``sum_i K_i^dag K_i == I``.
 
 Kraus operators that degenerate to the zero matrix (at p = 0 or p = 1)
 are kept rather than pruned; the uniform structure costs nothing at
@@ -86,12 +86,14 @@ def check_probability(probability: float, field: str = "probability") -> float:
 
 def check_count(value, field: str, least: int) -> int:
     """``value`` as an int, or :class:`SettingError` under ``field`` if it is
-    not an integer (``operator.index`` rejects it) or is below ``least``;
-    the one copy of this rule."""
+    not an integer (a bool, or a value ``operator.index`` rejects) or is
+    below ``least``; the one copy of this rule."""
     try:
         count = operator.index(value)
     except TypeError:
-        raise SettingError(field, f"must be an integer, got {value!r}") from None
+        count = None
+    if count is None or isinstance(value, bool):
+        raise SettingError(field, f"must be an integer, got {value!r}")
     if count < least:
         bound = "non-negative" if least == 0 else f"at least {least}"
         raise SettingError(field, f"must be {bound}, got {count}")
@@ -135,14 +137,12 @@ def verify_completeness(ops) -> bool:
     return bool(np.abs(total - I2).max() <= 1e-12)
 
 
-def embed_kraus(k: np.ndarray, target: int) -> np.ndarray:
-    """Lift a 2x2 Kraus operator to the two-qubit register.
+def on_qubit(ops, target: int) -> list[np.ndarray]:
+    """Kraus set lifting the 2x2 operators ``ops`` onto qubit ``target``.
 
-    Qubit 0 is the most significant factor, so target 0 embeds as
+    Qubit 0 is the most significant factor, so target 0 lifts ``k`` as
     ``kron(k, I2)`` and target 1 as ``kron(I2, k)``.
     """
-    if target == 0:
-        return np.kron(k, I2)
-    if target == 1:
-        return np.kron(I2, k)
-    raise ValueError(f"target must be 0 or 1, got {target}")
+    if target not in (0, 1):
+        raise ValueError(f"target must be 0 or 1, got {target}")
+    return [np.kron(k, I2) if target == 0 else np.kron(I2, k) for k in ops]

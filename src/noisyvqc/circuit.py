@@ -14,8 +14,8 @@ CNOT (qubit 0 controlling qubit 1), and injects the noise channel on
 every qubit again.  Noise-free configurations simply omit the channel
 insertions.
 
-The batched gate library lives in :mod:`noisyvqc.evaluator`; the
-reference oracle that folds the same ansatz gate by gate lives in
+The batched evaluation of the ansatz lives in :mod:`noisyvqc.evaluator`;
+the reference oracle that folds the same ansatz gate by gate lives in
 :mod:`noisyvqc.simulator`.
 """
 

@@ -34,12 +34,12 @@ complex loop it doubled a run's CPU time, and on a process pool it
 takes a core from another worker.  ``one_blas_thread`` caps BLAS at one thread while
 training runs.
 
-This module is production's gate library: a single gate is a batch of
-one, e.g. ``rot_matrices(angles[None])[0]``.  The reference oracle
-builds its own gates from their textbook definitions
-(``simulator.rotation``), and both paths here agree with folding
-``simulator.ansatz_kraus_sets`` through ``simulator.run``; the test
-suite pins them together at 1e-12.
+The Pauli path builds its gates as PTMs (``rot_ptms``); the unitaries of
+``rx_matrices``, ``rot_matrices`` and ``kron_batch`` serve only that
+complex loop and the tests.  The reference oracle builds its own gates
+from their textbook definitions (``simulator.rotation``), and both paths
+here agree with folding ``simulator.ansatz_kraus_sets`` through
+``simulator.run``; the test suite pins them together at 1e-12.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ import functools
 
 import numpy as np
 
-from .channels import I2, PAULI_X, PAULI_Y, PAULI_Z, ChannelKind, build_channel, embed_kraus
+from .channels import I2, PAULI_X, PAULI_Y, PAULI_Z, ChannelKind, build_channel, on_qubit
 from .circuit import CNOT, AnsatzConfig, N_QUBITS, param_shape
 
 _PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
@@ -198,7 +198,7 @@ def _row_major_tail(config: AnsatzConfig) -> np.ndarray:
     out = kraus_superop([CNOT])
     if config.channel is not ChannelKind.NONE:
         ops = build_channel(config.channel, config.probability)
-        noise = [kraus_superop([embed_kraus(k, q) for k in ops]) for q in range(N_QUBITS)]
+        noise = [kraus_superop(on_qubit(ops, q)) for q in range(N_QUBITS)]
         both = noise[1] @ noise[0]
         out = both @ out @ both
     out.flags.writeable = False
@@ -209,9 +209,9 @@ def _row_major_tail(config: AnsatzConfig) -> np.ndarray:
 def static_layer_superop(config: AnsatzConfig) -> np.ndarray:
     """The layer tail as the real PTM T S T^-1 of ``_row_major_tail``, cached read-only.
 
-    Real for any Hermiticity-preserving S; the product's imaginary part is rounding.
+    Real for any Hermiticity-preserving S; the cache owns the real part, the rest being rounding.
     """
-    out = (_TO_PAULI @ _row_major_tail(config) @ _FROM_PAULI).real
+    out = np.ascontiguousarray((_TO_PAULI @ _row_major_tail(config) @ _FROM_PAULI).real)
     out.flags.writeable = False
     return out
 

@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .channels import I2, PAULI_X, PAULI_Y, PAULI_Z, ChannelKind, build_channel, embed_kraus
+from .channels import I2, PAULI_X, PAULI_Y, PAULI_Z, ChannelKind, build_channel, on_qubit
 from .circuit import CNOT, AnsatzConfig, N_QUBITS, param_shape
 
 TRACE_TOL = 1e-10
@@ -34,11 +34,6 @@ def rotation(pauli: np.ndarray, angle: float) -> np.ndarray:
     if not math.isfinite(angle):
         raise ValueError(f"angle must be finite, got {angle!r}")
     return math.cos(angle / 2) * I2 - 1j * math.sin(angle / 2) * pauli
-
-
-def on_qubit(ops, target: int) -> list[np.ndarray]:
-    """Kraus set lifting the 2x2 operators ``ops`` onto qubit ``target``."""
-    return [embed_kraus(k, target) for k in ops]
 
 
 def ansatz_kraus_sets(features, params, config: AnsatzConfig) -> list[list[np.ndarray]]:

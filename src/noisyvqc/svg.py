@@ -10,7 +10,7 @@ show the per-step mean across seeds.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -43,14 +43,12 @@ def _polyline(xs: np.ndarray, ys: np.ndarray, color: str) -> str:
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
 
 
-def emit_svg(records: Union[RunRecord, Sequence[RunRecord]]) -> str:
+def emit_svg(records: Sequence[RunRecord]) -> str:
     """Render one configuration's accuracy curves as an SVG document.
 
-    Accepts a single run record or a group of records sharing one
-    (channel, probability) configuration.
+    ``records`` is a non-empty group of runs sharing one (channel,
+    probability) configuration; a single run is a group of one.
     """
-    if isinstance(records, RunRecord):
-        records = [records]
     if not records:
         raise ValueError("at least one record is required")
     configs = {(r.channel, r.probability) for r in records}

@@ -198,7 +198,7 @@ def run_sweep(config: SweepConfig, progress=None) -> list[RunRecord]:
     workers = min(config.workers or cpus or 1, len(specs))
     records: list[RunRecord] = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        results = pool.map(train, *args, chunksize=4) if pool else map(train, *args)
+        results = pool.map(train, *args) if pool else map(train, *args)
         for record in results:
             records.append(record)
             if progress:
@@ -252,10 +252,11 @@ def read_results_csv(path: str) -> list[RunRecord]:
     naming its line: a prob outside [0, 1] or NaN, a nonzero prob for
     channel none, a negative seed, a cost outside [0, 4] (a batch mean of
     (y - h)^2 with y = +-1 and |h| <= 1) or an accuracy outside [0, 1].
+    A leading UTF-8 byte-order mark is skipped, as ``load_iris_binary`` does.
     """
     records: dict[str, RunRecord] = {}
     owners: dict[tuple, str] = {}  # (channel, prob, seed) -> run id
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8-sig") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected header: {header!r}")

@@ -61,10 +61,9 @@ def batch_cost(labels, outputs) -> float:
     return float(np.mean((labels - outputs) ** 2))
 
 
-def predict(output):
-    """Sign of the model output as a class label; ties map to +1."""
-    labels = np.where(np.asarray(output) >= 0.0, 1, -1)
-    return int(labels) if np.ndim(output) == 0 else labels
+def predict(output) -> np.ndarray:
+    """Class labels, the signs of the model outputs as an integer array; ties map to +1."""
+    return np.where(np.asarray(output) >= 0.0, 1, -1)
 
 
 def accuracy(labels, outputs) -> float:

@@ -22,7 +22,6 @@ from noisyvqc.channels import (
     PAULI_Z,
     ChannelKind,
     build_channel,
-    embed_kraus,
 )
 from noisyvqc.circuit import AnsatzConfig, param_shape
 from noisyvqc.simulator import apply_kraus, on_qubit
@@ -97,7 +96,7 @@ def test_criterion_2_analytic_fixed_points(rng):
         for target in (0, 1):
             for _ in range(50):
                 rho = random_density_matrix(rng, 4)
-                u = embed_kraus(pauli, target)
+                u = np.kron(pauli, I2) if target == 0 else np.kron(I2, pauli)
                 assert np.abs(apply_kraus(rho, on_qubit(ops, target)) - u @ rho @ u).max() <= 1e-12
 
     z_kinds = [ChannelKind.PHASE_FLIP, ChannelKind.PHASE_DAMPING]
@@ -106,7 +105,7 @@ def test_criterion_2_analytic_fixed_points(rng):
             ops = build_channel(kind, p)
             for target in (0, 1):
                 rho = random_density_matrix(rng, 4)
-                z = embed_kraus(PAULI_Z, target)
+                z = np.kron(PAULI_Z, I2) if target == 0 else np.kron(I2, PAULI_Z)
                 before = np.trace(rho @ z)
                 after = np.trace(apply_kraus(rho, on_qubit(ops, target)) @ z)
                 assert abs(after - before) <= 1e-12

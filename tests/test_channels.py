@@ -12,10 +12,10 @@ from noisyvqc.channels import (
     ChannelKind,
     SettingError,
     build_channel,
-    embed_kraus,
+    on_qubit,
     verify_completeness,
 )
-from noisyvqc.simulator import apply_kraus, on_qubit
+from noisyvqc.simulator import apply_kraus
 
 from conftest import random_density_matrix
 
@@ -120,18 +120,17 @@ class TestApplyChannel:
         rho = random_density_matrix(rng, 4)
         ops = build_channel(ChannelKind.AMPLITUDE_DAMPING, 0.3)
         out = apply_kraus(rho, on_qubit(ops, target))
-        expected = sum(
-            embed_kraus(k, target) @ rho @ embed_kraus(k, target).conj().T for k in ops
-        )
+        lift = [np.kron(k, I2) if target == 0 else np.kron(I2, k) for k in ops]
+        expected = sum(k @ rho @ k.conj().T for k in lift)
         np.testing.assert_allclose(out, expected, atol=1e-15)
 
     def test_embed_kraus_qubit_ordering(self):
         # qubit 0 is the most significant tensor factor; hand expansions
-        np.testing.assert_array_equal(embed_kraus(PAULI_Z, 0), np.diag([1, 1, -1, -1]))
-        np.testing.assert_array_equal(embed_kraus(PAULI_Z, 1), np.diag([1, -1, 1, -1]))
-        np.testing.assert_array_equal(
-            embed_kraus(PAULI_X, 0) @ embed_kraus(PAULI_X, 1), np.fliplr(np.eye(4))
-        )
+        [z0], [z1] = on_qubit([PAULI_Z], 0), on_qubit([PAULI_Z], 1)
+        np.testing.assert_array_equal(z0, np.diag([1, 1, -1, -1]))
+        np.testing.assert_array_equal(z1, np.diag([1, -1, 1, -1]))
+        [x0], [x1] = on_qubit([PAULI_X], 0), on_qubit([PAULI_X], 1)
+        np.testing.assert_array_equal(x0 @ x1, np.fliplr(np.eye(4)))
 
     def test_invalid_target(self):
         # the register has qubits 0 and 1 only
@@ -155,7 +154,7 @@ class TestChannelIdentities:
         ops = build_channel(ChannelKind.PHASE_FLIP, 1.0)
         for target in (0, 1):
             rho = random_density_matrix(rng, 4)
-            z = embed_kraus(PAULI_Z, target)
+            z = np.kron(PAULI_Z, I2) if target == 0 else np.kron(I2, PAULI_Z)
             out = apply_kraus(rho, on_qubit(ops, target))
             np.testing.assert_allclose(out, z @ rho @ z, atol=1e-12)
 
@@ -163,7 +162,7 @@ class TestChannelIdentities:
         ops = build_channel(ChannelKind.BIT_FLIP, 1.0)
         for target in (0, 1):
             rho = random_density_matrix(rng, 4)
-            x = embed_kraus(PAULI_X, target)
+            x = np.kron(PAULI_X, I2) if target == 0 else np.kron(I2, PAULI_X)
             out = apply_kraus(rho, on_qubit(ops, target))
             np.testing.assert_allclose(out, x @ rho @ x, atol=1e-12)
 

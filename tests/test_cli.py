@@ -227,7 +227,9 @@ class TestSweepCommand:
 
 
 class TestSummarizeCommand:
-    def test_recomputes_summary_from_results(self, tmp_path, capsys):
+    # a results.csv re-saved by an editor may start with a UTF-8 byte-order mark
+    @pytest.mark.parametrize("bom", [False, True], ids=["plain", "bom"])
+    def test_recomputes_summary_from_results(self, tmp_path, capsys, bom):
         out = str(tmp_path / "sweep")
         main(
             [
@@ -238,6 +240,9 @@ class TestSummarizeCommand:
         summary_path = os.path.join(out, "summary.csv")
         before = open(summary_path, "rb").read()
         os.remove(summary_path)
+        if bom:
+            results = tmp_path / "sweep" / "results.csv"
+            results.write_bytes(b"\xef\xbb\xbf" + results.read_bytes())
         assert main(["summarize", "--out", out]) == 0
         assert open(summary_path, "rb").read() == before
         assert "phase-damping" in capsys.readouterr().out

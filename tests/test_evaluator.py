@@ -146,6 +146,15 @@ class TestPauliTransfer:
             back = np.linalg.inv(evaluator._TO_PAULI) @ ptm @ evaluator._TO_PAULI
             np.testing.assert_allclose(back, superop, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("kind", list(ChannelKind))
+    def test_cached_tail_owns_one_real_array(self, kind):
+        # the cache holds a read-only C-contiguous float64 copy, not a view
+        # that keeps the complex product alive
+        p = 0.0 if kind is ChannelKind.NONE else 0.3
+        ptm = static_layer_superop(AnsatzConfig(channel=kind, probability=p))
+        assert ptm.dtype == np.float64 and ptm.flags.c_contiguous
+        assert not ptm.flags.writeable and ptm.base is None
+
 
 def zero_theta_readout(cfg):
     """(w_II, w_ZI) of the readout pulled back at theta = 0: each of the 2L

@@ -21,13 +21,13 @@ def polyline_points(svg):
 
 class TestEmitSvg:
     def test_two_polylines_with_one_vertex_per_step(self):
-        svg = emit_svg(record_with([i / 100 for i in range(100)]))
+        svg = emit_svg([record_with([i / 100 for i in range(100)])])
         lines = polyline_points(svg)
         assert len(lines) == 2  # train and validation curves
         assert all(len(points) == 100 for points in lines)
 
     def test_structure(self):
-        svg = emit_svg(record_with([0.5] * 100))
+        svg = emit_svg([record_with([0.5] * 100)])
         assert svg.count("<polyline") == 2
         lines = polyline_points(svg)
         assert all(len(points) == 100 for points in lines)
@@ -37,7 +37,7 @@ class TestEmitSvg:
         assert svg.startswith("<svg ")
 
     def test_constant_unit_accuracy_sits_on_top_gridline(self):
-        svg = emit_svg(record_with([1.0] * 20))
+        svg = emit_svg([record_with([1.0] * 20)])
         for points in polyline_points(svg):
             ys = {y for _, y in points}
             assert ys == {float(MARGIN_TOP)}
@@ -46,7 +46,7 @@ class TestEmitSvg:
         a = record_with([0.0] * 10, seed=1)
         b = record_with([1.0] * 10, seed=2)
         averaged = emit_svg([a, b])
-        halfway = emit_svg(record_with([0.5] * 10))
+        halfway = emit_svg([record_with([0.5] * 10)])
         assert polyline_points(averaged) == polyline_points(halfway)
 
     def test_rejects_empty_and_mixed_groups(self):
@@ -55,7 +55,7 @@ class TestEmitSvg:
         with pytest.raises(ValueError):
             emit_svg([record_with([0.5], prob=0.3), record_with([0.5], prob=0.4)])
         with pytest.raises(ValueError):
-            emit_svg(record_with([]))
+            emit_svg([record_with([])])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="same number"):

@@ -75,6 +75,8 @@ class TestExecuteRun:
             ("learning_rate", float("nan")),
             ("steps", 2.5),
             ("batch_size", 2.5),
+            ("steps", True),
+            ("batch_size", True),
         ],
     )
     def test_rejects_bad_training_setting_before_reading_data(self, tmp_path, field, value):
@@ -85,7 +87,12 @@ class TestExecuteRun:
 
     @pytest.mark.parametrize(
         "probability,n_layers,field",
-        [(1.5, 5, "probability"), (0.5, 0, "n_layers"), (0.5, 2.5, "n_layers")],
+        [
+            (1.5, 5, "probability"),
+            (0.5, 0, "n_layers"),
+            (0.5, 2.5, "n_layers"),
+            (0.5, True, "n_layers"),
+        ],
     )
     def test_rejects_bad_ansatz_setting_before_reading_data(
         self, tmp_path, probability, n_layers, field
@@ -98,7 +105,12 @@ class TestExecuteRun:
 
     @pytest.mark.parametrize(
         "seed,data,field",
-        [(-1, None, "seeds"), (1.5, None, "seeds"), (1, "missing.csv", "data_path")],
+        [
+            (-1, None, "seeds"),
+            (1.5, None, "seeds"),
+            (True, None, "seeds"),
+            (1, "missing.csv", "data_path"),
+        ],
     )
     def test_rejects_bad_seed_or_data_path_before_reading_data(
         self, tmp_path, monkeypatch, seed, data, field
@@ -257,6 +269,12 @@ class TestRunSweep:
             ("batch_size", 2.5),
             ("n_layers", 2.5),
             ("workers", 1.5),
+            # a bool is not a count, though operator.index(True) is 1
+            ("steps", True),
+            ("batch_size", True),
+            ("n_layers", True),
+            ("workers", True),
+            ("seeds", (True,)),
         ],
     )
     def test_rejects_bad_training_setting(self, field, value):
