@@ -11,8 +11,8 @@ rotation angles, one per qubit, then stacks ``n_layers`` variational
 layers.  Each layer applies a trainable ``Rot`` on every qubit,
 injects the configured noise channel on every qubit, entangles with a
 CNOT (qubit 0 controlling qubit 1), and injects the noise channel on
-every qubit again.  Noise-free configurations simply omit the channel
-insertions.
+every qubit again.  A noise-free configuration's channel is the identity
+(``ChannelKind.NONE``), so every layer has the same seven slots.
 
 The batched evaluation of the ansatz lives in :mod:`noisyvqc.evaluator`;
 the reference oracle that folds the same ansatz gate by gate lives in

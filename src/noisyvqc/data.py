@@ -54,10 +54,11 @@ def load_iris_binary(source: str | None = None) -> Dataset:
 
     The file must be the standard 5-column Iris CSV (sepal length,
     sepal width, petal length, petal width, species), optionally with a
-    header row; a UTF-8 byte-order mark is ignored.  Species matching
-    is case-insensitive and the "Iris-" prefix is optional.  Virginica
-    rows are dropped; anything else unrecognized is an error, as is
-    ending up with fewer than two classes.
+    header as its first non-blank line; a UTF-8 byte-order mark is
+    ignored.  Species matching is case-insensitive and the "Iris-"
+    prefix is optional.  Virginica rows are dropped; anything else
+    unrecognized is an error, as is ending up with fewer than two
+    classes.
     """
     if source is None:
         text = IRIS_SETOSA_VERSICOLOR_CSV
@@ -69,6 +70,7 @@ def load_iris_binary(source: str | None = None) -> Dataset:
     species: dict[str, int | None] = {}  # raw species token -> label
     features: list[tuple[float, float]] = []
     labels: list[int] = []
+    header_ok = True  # only the first non-blank line may be a header
     # float() and _parse_species accept padded fields, so no field is stripped
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split(",")
@@ -76,7 +78,8 @@ def load_iris_binary(source: str | None = None) -> Dataset:
             continue  # blank line
         if len(fields) != 5:
             raise ValueError(f"line {line_no}: expected 5 columns, got {len(fields)}")
-        if line_no == 1:
+        if header_ok:
+            header_ok = False
             try:
                 float(fields[0])
             except ValueError:

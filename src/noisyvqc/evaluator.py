@@ -11,35 +11,24 @@ the CNOT, noise on both qubits again -- is the real 16x16 matrix
 T S T^-1 of its superoperator S on row-major vectorized states, built
 once per ``AnsatzConfig`` (``static_layer_superop``), and a Rot gate's
 Pauli transfer matrix (PTM) is 1 + SO(3) in closed form (``rot_ptms``).
-One call of ``ansatz_expectations`` evaluates ``pullback(params,
+``ansatz_expectations`` evaluates ``pullback(params,
 static_layer_superop(config)) @ encode(rows).T`` for a single tensor
 over B rows (a readout) or a stack of V tensors over the same k rows
-(a gradient).  These outputs agree with evolving every tensor's density
-matrices on their own to rounding (about 1e-15), not bit for bit, so
-every output of magnitude ``NEAR_ZERO`` (1e-12) or more keeps its sign,
-which is all an accuracy reads.
-
-A readout in which some row is below ``NEAR_ZERO`` has a class that
-rounding decides, and the benchmark's recorded references pin the
-signs of the complex density-matrix loop.  So such a readout is
-evaluated again by that loop, over the whole batch, and returns its
-bits: the two Rot gates of a layer act on different qubits, so their
-product is one Kronecker factor applied as one batched conjugation,
-the encoded state is the outer product of the two encoding RX gates'
-first columns, and the tail is one matrix product per layer with S.
+(a gradient), and re-runs a readout whose class rounding decides
+through the complex density-matrix loop; its docstring says why.
 
 These matrix products have inner dimension 4 or 16, and a second BLAS
 thread costs more than it saves on them: on a 2,000-row readout of the
 complex loop it doubled a run's CPU time, and on a process pool it
-takes a core from another worker.  ``one_blas_thread`` caps BLAS at one thread while
-training runs.
+takes a core from another worker.  ``one_blas_thread`` caps BLAS at
+one thread while training runs.
 
-The Pauli path builds its gates as PTMs (``rot_ptms``); the unitaries of
-``rx_matrices``, ``rot_matrices`` and ``kron_batch`` serve only that
-complex loop and the tests.  The reference oracle builds its own gates
-from their textbook definitions (``simulator.rotation``), and both paths
-here agree with folding ``simulator.ansatz_kraus_sets`` through
-``simulator.run``; the test suite pins them together at 1e-12.
+The unitaries of ``rx_matrices``, ``rot_matrices`` and ``kron_batch``
+serve only that complex loop and the tests.  The reference oracle
+builds its own gates from their textbook definitions
+(``simulator.rotation``), and both paths here agree with folding
+``simulator.ansatz_kraus_sets`` through ``simulator.run``; the test
+suite pins them together at 1e-12.
 """
 
 from __future__ import annotations
@@ -50,7 +39,7 @@ import functools
 
 import numpy as np
 
-from .channels import I2, PAULI_X, PAULI_Y, PAULI_Z, ChannelKind, build_channel, on_qubit
+from .channels import I2, PAULI_X, PAULI_Y, PAULI_Z, build_channel, on_qubit
 from .circuit import CNOT, AnsatzConfig, N_QUBITS, param_shape
 
 _PAULIS = np.array([I2, PAULI_X, PAULI_Y, PAULI_Z])
@@ -193,14 +182,13 @@ def kraus_superop(ops: list[np.ndarray]) -> np.ndarray:
 def _row_major_tail(config: AnsatzConfig) -> np.ndarray:
     """Superoperator S of one layer's tail on row-major vec(rho), cached read-only.
 
-    Noise on qubit 0, then qubit 1, the CNOT, noise on qubit 0, then qubit 1.
+    Noise on qubit 0, then qubit 1, the CNOT, noise on qubit 0, then qubit 1;
+    a noise-free config's noise is the identity channel.
     """
-    out = kraus_superop([CNOT])
-    if config.channel is not ChannelKind.NONE:
-        ops = build_channel(config.channel, config.probability)
-        noise = [kraus_superop(on_qubit(ops, q)) for q in range(N_QUBITS)]
-        both = noise[1] @ noise[0]
-        out = both @ out @ both
+    ops = build_channel(config.channel, config.probability)
+    noise = [kraus_superop(on_qubit(ops, q)) for q in range(N_QUBITS)]
+    both = noise[1] @ noise[0]
+    out = both @ kraus_superop([CNOT]) @ both
     out.flags.writeable = False
     return out
 

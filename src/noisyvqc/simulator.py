@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .channels import I2, PAULI_X, PAULI_Y, PAULI_Z, ChannelKind, build_channel, on_qubit
+from .channels import I2, PAULI_X, PAULI_Y, PAULI_Z, build_channel, on_qubit
 from .circuit import CNOT, AnsatzConfig, N_QUBITS, param_shape
 
 TRACE_TOL = 1e-10
@@ -43,7 +43,7 @@ def ansatz_kraus_sets(features, params, config: AnsatzConfig) -> list[list[np.nd
     the trainable tensor of shape ``(n_layers, 2, 3)``.  Order: the two
     encoding RX gates, then per layer the two Rot gates, the noise
     channel on each qubit, the CNOT, and the noise channel on each
-    qubit again; noise-free configs omit the channel sets.
+    qubit again; a noise-free config's channel is the identity.
     """
     features = np.asarray(features, dtype=float)
     params = np.asarray(params, dtype=float)
@@ -51,10 +51,8 @@ def ansatz_kraus_sets(features, params, config: AnsatzConfig) -> list[list[np.nd
         raise ValueError(f"expected {N_QUBITS} feature angles, got shape {features.shape}")
     if params.shape != param_shape(config):
         raise ValueError(f"params shape {params.shape} does not match {param_shape(config)}")
-    noise = []
-    if config.channel is not ChannelKind.NONE:
-        ops = build_channel(config.channel, config.probability)
-        noise = [on_qubit(ops, q) for q in range(N_QUBITS)]
+    ops = build_channel(config.channel, config.probability)
+    noise = [on_qubit(ops, q) for q in range(N_QUBITS)]
 
     sets = [on_qubit([rotation(PAULI_X, features[q])], q) for q in range(N_QUBITS)]
     for layer in params:

@@ -348,7 +348,7 @@ def format_summary_table(cells: Sequence[CellSummary]) -> str:
     lines = [f"{'channel':<20} {'prob':>5} {'seeds':>5} {'final val acc':>14} trainable"]
     for c in cells:
         lines.append(
-            f"{c.channel.value:<20} {c.probability:>5.2f} {c.n_seeds:>5} "
+            f"{c.channel.value:<20} {c.probability:>5g} {c.n_seeds:>5} "
             f"{c.mean_final_val_acc:>14.4f} {'yes' if c.trainable else 'no'}"
         )
     return "\n".join(lines)

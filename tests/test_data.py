@@ -143,6 +143,15 @@ class TestLoadFromFile:
         np.testing.assert_array_equal(with_bom.features, plain.features)
         np.testing.assert_array_equal(with_bom.labels, plain.labels)
 
+    def test_header_after_leading_blank_lines(self, tmp_path):
+        header = "sepal_length,sepal_width,petal_length,petal_width,species\n"
+        rows = "5.1,3.5,1.4,0.2,Iris-setosa\n7.0,3.2,4.7,1.4,Iris-versicolor\n"
+        ds = load_iris_binary(self._write(tmp_path, "\n  \n" + header + rows))
+        np.testing.assert_array_equal(ds.features, [[1.4, 0.2], [4.7, 1.4]])
+        # only the first non-blank line may be a header; a second one is an error
+        with pytest.raises(ValueError, match="line 3: malformed numeric field"):
+            load_iris_binary(self._write(tmp_path, "\n" + header + header + rows))
+
     @pytest.mark.parametrize(
         "row, count",
         [("5.1,3.5,1.4,Iris-setosa", 4), ("5.1,3.5,1.4,0.2,Iris-setosa,1", 6)],

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from noisyvqc import evaluator
-from noisyvqc.channels import I2, PAULI_X, PAULI_Y, PAULI_Z, ChannelKind
+from noisyvqc.channels import I2, NOISY_KINDS, PAULI_X, PAULI_Y, PAULI_Z, ChannelKind
 from noisyvqc.circuit import CNOT, AnsatzConfig, param_shape
 from noisyvqc.evaluator import (
     ansatz_expectations,
@@ -89,6 +89,13 @@ class TestSuperops:
     def test_noise_free_layer_is_cnot_conjugation(self):
         cfg = AnsatzConfig(n_layers=1)
         np.testing.assert_array_equal(evaluator._row_major_tail(cfg), kraus_superop([CNOT]))
+
+    @pytest.mark.parametrize("kind", NOISY_KINDS)
+    def test_p0_tail_equals_noise_free(self, kind):
+        # every layer is built one way: at p = 0 each channel is exactly the identity's
+        cfg = AnsatzConfig(channel=kind, probability=0.0, n_layers=1)
+        for build in (evaluator._row_major_tail, static_layer_superop):
+            np.testing.assert_array_equal(build(cfg), build(AnsatzConfig(n_layers=1)))
 
     def test_cached_superop_is_read_only_and_equal_to_a_fresh_build(self):
         # both the row-major superoperator and the Pauli tail built from it

@@ -105,8 +105,9 @@ class TestAnsatzKrausSets:
         self.features = np.array([0.4, 2.0])
 
     def test_noise_free_set_count(self):
+        # the identity channel fills every noise slot, so each layer has seven sets
         cfg = AnsatzConfig(n_layers=5)
-        assert len(ansatz_kraus_sets(self.features, np.zeros(param_shape(cfg)), cfg)) == 17
+        assert len(ansatz_kraus_sets(self.features, np.zeros(param_shape(cfg)), cfg)) == 37
 
     def test_noisy_set_count_and_positions(self):
         cfg = AnsatzConfig(channel=ChannelKind.BIT_FLIP, probability=0.4, n_layers=5)
@@ -119,10 +120,13 @@ class TestAnsatzKrausSets:
             np.testing.assert_array_equal(sets[base + 4][0], CNOT)
 
     def test_single_layer_order(self):
+        # RX RX, then Rot Rot Identity Identity CNOT Identity Identity
         cfg = AnsatzConfig(n_layers=1)
         sets = ansatz_kraus_sets(self.features, np.zeros(param_shape(cfg)), cfg)
-        assert [len(s) for s in sets] == [1, 1, 1, 1, 1]
-        np.testing.assert_array_equal(sets[4][0], CNOT)
+        assert [len(s) for s in sets] == [1, 1, 1, 1, 1, 1, 1, 1, 1]
+        np.testing.assert_array_equal(sets[6][0], CNOT)
+        for slot in (4, 5, 7, 8):
+            np.testing.assert_array_equal(sets[slot][0], np.eye(4))
 
     def test_encoding_not_followed_by_noise(self):
         cfg = AnsatzConfig(channel=ChannelKind.DEPOLARIZING, probability=0.9, n_layers=3)

@@ -14,6 +14,7 @@ from noisyvqc.sweep import (
     SettingError,
     SweepConfig,
     execute_run,
+    format_summary_table,
     read_results_csv,
     run_filename,
     run_id,
@@ -534,3 +535,11 @@ class TestSweepOutputs:
         assert lines[0] == "channel,prob,seeds,mean_final_val_acc,trainable"
         assert lines[1] == "none,0.000000,2,1.000000,true"
         assert lines[2] == "depolarizing,0.500000,2,0.250000,false"
+
+    def test_summary_table_labels_distinct_probabilities_apart(self):
+        # 0.001 and 0.004 are distinct cells of summary.csv and of the run ids
+        cells = [
+            CellSummary(ChannelKind.BIT_FLIP, p, 1, 0.5, False) for p in (0.0, 0.001, 0.004, 0.5)
+        ]
+        rows = format_summary_table(cells).splitlines()[1:]
+        assert [row.split()[1] for row in rows] == ["0", "0.001", "0.004", "0.5"]
